@@ -18,11 +18,13 @@
 // straggling tasks (-speculate).
 //
 // Supported -algo values: con (conventional synopsis, Appendix A.1) and
-// dgreedyabs (the paper's Algorithm 6, all four jobs on the cluster).
+// dgreedyabs (the paper's Algorithm 6, all four jobs on the cluster). Both
+// are the ordinary dist drivers with the coordinator as their engine.
 //
 // A co-located deployment can skip TCP framing entirely: -local N attaches
 // N shared-memory workers inside the coordinator process (tasks and
-// replies cross an in-memory channel, no serialization). -workers counts
+// replies cross an in-memory channel, no serialization, and the workers
+// run the driver's job by pointer). -workers counts
 // TCP joiners on top of those: pass -workers 0 to run with only
 // shared-memory workers, or combine both for a mixed fleet:
 //
@@ -153,11 +155,15 @@ func main() {
 		}
 		t0 := time.Now()
 		var rep *dist.Report
+		// The coordinator is an engine like any other: the drivers are the
+		// ones every engine runs, and src being a file is what lets the TCP
+		// workers rebuild its jobs.
+		cfg := dist.Config{Engine: c, SubtreeLeaves: *subtree}
 		switch *algo {
 		case "con":
-			rep, err = dist.CONCluster(c, *data, b, *subtree)
+			rep, err = dist.CON(src, b, cfg)
 		case "dgreedyabs":
-			rep, err = dist.DGreedyAbsCluster(c, *data, b, *subtree, 0)
+			rep, err = dist.DGreedyAbs(src, b, cfg)
 		default:
 			fatal(fmt.Errorf("unknown -algo %q (con, dgreedyabs)", *algo))
 		}

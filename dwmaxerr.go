@@ -79,7 +79,9 @@ type SliceSource = dist.SliceSource
 type FileSource = dist.FileSource
 
 // Engine executes the distributed algorithms' jobs. The default is an
-// in-process engine; mr.NewCoordinator provides a TCP cluster.
+// in-process engine; an *mr.Coordinator (mr.NewCoordinator) is one too,
+// running the same jobs on TCP and shared-memory workers — TCP workers
+// need a FileSource, whose path they can open themselves.
 type Engine = mr.Engine
 
 // Algorithm selects a thresholding strategy for Build.

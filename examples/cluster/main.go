@@ -59,8 +59,15 @@ func main() {
 	}
 	fmt.Printf("cluster up: coordinator %s, %d workers\n", coord.Addr(), workers)
 
+	// The coordinator is just the engine: the same dist.CON the in-process
+	// run below uses. The source being a file every worker can open is what
+	// lets remote workers rebuild its jobs.
+	src, err := dist.NewFileSource(path)
+	if err != nil {
+		log.Fatal(err)
+	}
 	t0 := time.Now()
-	rep, err := dist.CONCluster(coord, path, budget, subtree)
+	rep, err := dist.CON(src, budget, dist.Config{Engine: coord, SubtreeLeaves: subtree})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -65,8 +65,11 @@ func CON(src Source, budget int, cfg Config) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	eng := cfg.engine()
-	res, err := runJob(eng, conJob(src, n, s), cfg.Trace)
+	job, err := conFileJob.job(src, s)
+	if err != nil {
+		return nil, err
+	}
+	res, err := runJob(cfg.engine(), job, cfg.Trace)
 	if err != nil {
 		return nil, err
 	}
@@ -78,7 +81,10 @@ func CON(src Source, budget int, cfg Config) (*Report, error) {
 }
 
 // conJob builds the CON map job over aligned chunks of size s.
-func conJob(src Source, n, s int) *mr.Job {
+func conJob(src Source, n, s int) (*mr.Job, error) {
+	if err := checkSubtree(n, s); err != nil {
+		return nil, err
+	}
 	return &mr.Job{
 		Name:   "con",
 		Splits: chunkSplits(n, s),
@@ -118,7 +124,7 @@ func conJob(src Source, n, s int) *mr.Job {
 			return nil
 		},
 		Reducers: 1,
-	}
+	}, nil
 }
 
 // selectConventional consumes a partition sorted by (averages first,

@@ -3,6 +3,7 @@ package dist
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"dwmaxerr/internal/errtree"
 	"dwmaxerr/internal/greedy"
@@ -135,22 +136,18 @@ func dGreedy(src Source, budget int, cfg Config, rel bool) (*Report, error) {
 		}
 		eb = scale / 4096
 	}
-	if _, err := errtree.PartitionRootBase(n, s); err != nil {
-		return nil, err // validate before the jobs capture the partition
-	}
 
 	// ---- Job 1: speculative histogram runs + combineResults ----
 	reducers := cfg.Reducers
 	if reducers <= 0 {
 		reducers = 4
 	}
-	histJob := &mr.Job{
-		Name:      "dgreedy-hist",
-		Splits:    chunkSplits(n, s),
-		Reducers:  reducers,
-		Partition: histPartition,
-		Map:       dgreedyHistMap(src, n, s, rootCoef, rootOrder, maxCand, eb, rel, cfg.sanity()),
-		Reduce:    makeCombineResults(budget),
+	histJob, err := histFileJob.job(src, histParams{
+		S: s, Budget: budget, MaxCand: maxCand, Eb: eb, RootCoef: rootCoef, RootOrder: rootOrder,
+		Reducers: reducers, Rel: rel, Sanity: cfg.sanity(),
+	})
+	if err != nil {
+		return nil, err
 	}
 	obsGreedyCandidates.Add(int64(maxCand + 1))
 	// With a checkpoint store, the histogram output — job 1, the dominant
@@ -199,16 +196,14 @@ func dGreedy(src Source, budget int, cfg Config, rel bool) (*Report, error) {
 	}
 
 	// ---- Job 2: materialize the synopsis for the winning candidate ----
-	retainRoot := map[int]bool{}
-	for _, node := range rootOrder[len(rootOrder)-bestI:] {
-		retainRoot[node] = true
-	}
-	cutoff := minError - 2*eb // one-bucket slack against bucket rounding
-	selJob := &mr.Job{
-		Name:     "dgreedy-select",
-		Splits:   chunkSplits(n, s),
-		Map:      dgreedySelectMap(src, n, s, rootCoef, retainRoot, cutoff, eb, rel, cfg.sanity()),
-		Reducers: 1,
+	retained := rootOrder[len(rootOrder)-bestI:]
+	selJob, err := selectFileJob.job(src, selParams{
+		S: s, RootCoef: rootCoef, RetainRoot: retained,
+		Cutoff: minError - 2*eb, // one-bucket slack against bucket rounding
+		Eb:     eb, Rel: rel, Sanity: cfg.sanity(),
+	})
+	if err != nil {
+		return nil, err
 	}
 	selRes, err := runJob(eng, selJob, algSpan)
 	if err != nil {
@@ -219,7 +214,7 @@ func dGreedy(src Source, budget int, cfg Config, rel bool) (*Report, error) {
 	// Merge: keys already sort ascending by -bucket == descending bucket.
 	want := budget - bestI
 	syn := synopsis.New(n)
-	for node := range retainRoot {
+	for _, node := range retained {
 		if rootCoef[node] != 0 {
 			syn.Terms = append(syn.Terms, synopsis.Coefficient{Index: node, Value: rootCoef[node]})
 		}
@@ -312,32 +307,46 @@ func bucketize(steps []greedy.Step, eb float64) []histEntry {
 // arrive sorted (candidate asc, bucket desc, sentinel last); the reducer
 // accumulates counts and, at each candidate's sentinel, emits the error at
 // list position budget - candidate.
+//
+// The running (cum, answer) of the candidate being streamed has to survive
+// from one key group to the next, and the one ReduceFunc serves every
+// reduce attempt of the job at once (parallel partitions, speculative
+// twins). So the state is keyed by (task, attempt, candidate) and the map
+// holding it is locked: an entry is only ever touched by its own attempt's
+// goroutine, and the sentinel — the last key of a candidate — removes it,
+// so a finished run leaves nothing behind.
 func makeCombineResults(budget int) mr.ReduceFunc {
 	type state struct {
-		cand   int
 		cum    int
 		answer float64
 		found  bool
 	}
-	states := map[[2]int]*state{}
+	var mu sync.Mutex
+	states := map[[3]int]*state{} // guarded by mu
 	return func(ctx mr.TaskContext, key []byte, values [][]byte, emit mr.Emit) error {
-		sk := [2]int{ctx.TaskID, ctx.Attempt}
-		st := states[sk]
 		cand, bucketOff, err := histKeyCand(key)
 		if err != nil {
 			return err
 		}
-		if st == nil || st.cand != cand {
-			st = &state{cand: cand}
+		sk := [3]int{ctx.TaskID, ctx.Attempt, cand}
+		bucket := -mr.DecodeFloat64(key[bucketOff:])
+		sentinel := math.IsInf(bucket, -1)
+		mu.Lock()
+		st := states[sk]
+		if sentinel {
+			delete(states, sk)
+		} else if st == nil {
+			st = &state{}
 			states[sk] = st
 		}
-		bucket := -mr.DecodeFloat64(key[bucketOff:])
-		if math.IsInf(bucket, -1) {
-			// Sentinel: report this candidate's achieved error estimate.
-			ans := st.answer
-			if !st.found {
-				// Fewer total nodes than the budget: everything retained.
-				ans = 0
+		mu.Unlock()
+		if sentinel {
+			// Report this candidate's achieved error estimate. No state,
+			// or none found, means fewer total nodes than the budget:
+			// everything is retained.
+			ans := 0.0
+			if st != nil && st.found {
+				ans = st.answer
 			}
 			return emit(mr.EncodeUint64(uint64(cand)), mr.EncodeFloat64(ans))
 		}
@@ -359,16 +368,30 @@ func makeCombineResults(budget int) mr.ReduceFunc {
 	}
 }
 
-// dgreedyHistMap builds the level-1 map function of job 1: one greedy run
-// per distinct incoming error, emitted as per-candidate error-bucket
-// histograms. All inputs are serializable, so the cluster variant
-// reconstructs the identical function from job parameters.
-func dgreedyHistMap(src Source, n, s int, rootCoef []float64, rootOrder []int, maxCand int, eb float64, rel bool, sanity float64) mr.MapFunc {
-	part, perr := errtree.PartitionRootBase(n, s)
-	return func(ctx mr.TaskContext, split mr.Split, emit mr.Emit) error {
-		if perr != nil {
-			return perr
-		}
+// histParams parameterizes job 1: the partitioning (S), the budget, and the
+// root run's outputs the speculative candidates are derived from.
+type histParams struct {
+	S         int
+	Budget    int
+	MaxCand   int
+	Eb        float64
+	RootCoef  []float64
+	RootOrder []int
+	Reducers  int
+	Rel       bool
+	Sanity    float64
+}
+
+// dgreedyHistJob builds job 1: level-1 maps run one greedy per distinct
+// incoming error and emit per-candidate error-bucket histograms, level-2
+// reducers combine them (makeCombineResults).
+func dgreedyHistJob(src Source, n int, p histParams) (*mr.Job, error) {
+	part, err := errtree.PartitionRootBase(n, p.S)
+	if err != nil {
+		return nil, err
+	}
+	s, rootCoef, rootOrder, maxCand, eb, rel, sanity := p.S, p.RootCoef, p.RootOrder, p.MaxCand, p.Eb, p.Rel, p.Sanity
+	mapFn := func(ctx mr.TaskContext, split mr.Split, emit mr.Emit) error {
 		j, err := chunkIndex(split)
 		if err != nil {
 			return err
@@ -446,17 +469,42 @@ func dgreedyHistMap(src Source, n, s int, rootCoef []float64, rootOrder []int, m
 		}
 		return nil
 	}
+	return &mr.Job{
+		Name:      "dgreedy-hist",
+		Splits:    chunkSplits(n, s),
+		Reducers:  p.Reducers,
+		Partition: histPartition,
+		Map:       mapFn,
+		Reduce:    makeCombineResults(p.Budget),
+	}, nil
 }
 
-// dgreedySelectMap builds the map function of job 2: a single greedy run
-// per base sub-tree for the winning candidate, emitting only node groups
-// whose bucketed running-max error clears the winning estimate.
-func dgreedySelectMap(src Source, n, s int, rootCoef []float64, retainRoot map[int]bool, cutoff, eb float64, rel bool, sanity float64) mr.MapFunc {
-	part, perr := errtree.PartitionRootBase(n, s)
-	return func(ctx mr.TaskContext, split mr.Split, emit mr.Emit) error {
-		if perr != nil {
-			return perr
-		}
+// selParams parameterizes job 2: the winning candidate's retained root
+// nodes and the error cutoff below which node groups are never retained.
+type selParams struct {
+	S          int
+	RootCoef   []float64
+	RetainRoot []int
+	Cutoff     float64
+	Eb         float64
+	Rel        bool
+	Sanity     float64
+}
+
+// dgreedySelectJob builds job 2: a single greedy run per base sub-tree for
+// the winning candidate, emitting only node groups whose bucketed
+// running-max error clears the winning estimate.
+func dgreedySelectJob(src Source, n int, p selParams) (*mr.Job, error) {
+	part, err := errtree.PartitionRootBase(n, p.S)
+	if err != nil {
+		return nil, err
+	}
+	s, rootCoef, cutoff, eb, rel, sanity := p.S, p.RootCoef, p.Cutoff, p.Eb, p.Rel, p.Sanity
+	retainRoot := make(map[int]bool, len(p.RetainRoot))
+	for _, node := range p.RetainRoot {
+		retainRoot[node] = true
+	}
+	mapFn := func(ctx mr.TaskContext, split mr.Split, emit mr.Emit) error {
 		j, err := chunkIndex(split)
 		if err != nil {
 			return err
@@ -512,4 +560,10 @@ func dgreedySelectMap(src Source, n, s int, rootCoef []float64, retainRoot map[i
 		}
 		return flush(len(steps), curBucket)
 	}
+	return &mr.Job{
+		Name:     "dgreedy-select",
+		Splits:   chunkSplits(n, s),
+		Map:      mapFn,
+		Reducers: 1,
+	}, nil
 }

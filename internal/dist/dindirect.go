@@ -199,15 +199,6 @@ func decodeLayerRows(pairs []mr.Pair) (map[int]dp.Row, error) {
 	return rows, nil
 }
 
-// layerSplits encodes each sub-tree's index within its layer.
-func layerSplits(layer []errtree.Subtree) []mr.Split {
-	splits := make([]mr.Split, len(layer))
-	for i := range layer {
-		splits[i] = mr.Split{ID: i, Payload: mr.MustGobEncode(i)}
-	}
-	return splits
-}
-
 // subtreeLeafRows builds the leaf rows of one sub-tree: data leaves for the
 // bottom layer, child M-rows above.
 func subtreeLeafRows(src Source, p dp.Params, n, layerIdx int, st errtree.Subtree, below map[int]dp.Row) ([]dp.Row, error) {
@@ -240,7 +231,7 @@ func subtreeLeafRows(src Source, p dp.Params, n, layerIdx int, st errtree.Subtre
 func layerUpJob(src Source, p dp.Params, n, layerIdx int, layer []errtree.Subtree, below map[int]dp.Row) *mr.Job {
 	return &mr.Job{
 		Name:   fmt.Sprintf("dmhaar-up-layer%d", layerIdx),
-		Splits: layerSplits(layer),
+		Splits: indexSplits(len(layer)),
 		Map: func(ctx mr.TaskContext, split mr.Split, emit mr.Emit) error {
 			idx, err := chunkIndex(split)
 			if err != nil {
@@ -274,7 +265,7 @@ type downMsg struct {
 func layerDownJob(src Source, p dp.Params, n, layerIdx int, layer []errtree.Subtree, below map[int]dp.Row, incoming map[int]int) (*mr.Job, func(*mr.Result) (map[int]int, []synopsis.Coefficient, error)) {
 	job := &mr.Job{
 		Name:   fmt.Sprintf("dmhaar-down-layer%d", layerIdx),
-		Splits: layerSplits(layer),
+		Splits: indexSplits(len(layer)),
 		Map: func(ctx mr.TaskContext, split mr.Split, emit mr.Emit) error {
 			idx, err := chunkIndex(split)
 			if err != nil {

@@ -168,10 +168,16 @@ func (c Config) subtreeLeaves(n int) (int, error) {
 			s = n / 2
 		}
 	}
+	return s, checkSubtree(n, s)
+}
+
+// checkSubtree validates a sub-tree size against the input length — on the
+// driver, and again wherever a job is rebuilt from parameters.
+func checkSubtree(n, s int) error {
 	if s < 2 || !wavelet.IsPowerOfTwo(s) || s > n/2 {
-		return 0, fmt.Errorf("dist: sub-tree size %d invalid for n=%d (need power of two in [2, n/2])", s, n)
+		return fmt.Errorf("dist: sub-tree size %d invalid for n=%d (need power of two in [2, n/2])", s, n)
 	}
-	return s, nil
+	return nil
 }
 
 func (c Config) sanity() float64 {
@@ -209,22 +215,26 @@ func (r *Report) Makespan(mapSlots, reduceSlots int) (total time.Duration) {
 }
 
 // chunkSplits builds one split per aligned chunk of size s over n values.
-// The split payload is the chunk index (gob).
 func chunkSplits(n, s int) []mr.Split {
-	count := n / s
+	return indexSplits(n / s)
+}
+
+// indexSplits builds count splits whose payload is their index as a
+// uvarint, decoded by chunkIndex.
+func indexSplits(count int) []mr.Split {
 	splits := make([]mr.Split, count)
-	for i := 0; i < count; i++ {
-		splits[i] = mr.Split{ID: i, Payload: mr.MustGobEncode(i)}
+	for i := range splits {
+		splits[i] = mr.Split{ID: i, Payload: mr.AppendUvarint(nil, uint64(i))}
 	}
 	return splits
 }
 
 func chunkIndex(split mr.Split) (int, error) {
-	var idx int
-	if err := mr.GobDecode(split.Payload, &idx); err != nil {
-		return 0, fmt.Errorf("dist: bad chunk split payload: %w", err)
+	idx, n := mr.Uvarint(split.Payload)
+	if n <= 0 || n != len(split.Payload) {
+		return 0, fmt.Errorf("dist: bad %d-byte chunk split payload", len(split.Payload))
 	}
-	return idx, nil
+	return int(idx), nil
 }
 
 // ChunkMeans runs a map job computing the mean of every aligned chunk of
@@ -234,16 +244,44 @@ func ChunkMeans(src Source, s int, eng mr.Engine) ([]float64, mr.Metrics, error)
 }
 
 func chunkMeans(src Source, s int, eng mr.Engine, parent *obs.Span) ([]float64, mr.Metrics, error) {
-	n := src.N()
-	res, err := runJob(eng, chunkMeansJob(src, n, s), parent)
+	job, err := meansFileJob.job(src, s)
 	if err != nil {
 		return nil, mr.Metrics{}, err
 	}
-	means := make([]float64, n/s)
+	res, err := runJob(eng, job, parent)
+	if err != nil {
+		return nil, mr.Metrics{}, err
+	}
+	means := make([]float64, src.N()/s)
 	for _, kv := range res.Partitions[0] {
 		means[mr.DecodeUint64(kv.Key)] = mr.DecodeFloat64(kv.Value)
 	}
 	return means, res.Metrics, nil
+}
+
+// chunkMeansJob builds the chunk-means job over aligned chunks of size s.
+func chunkMeansJob(src Source, n, s int) (*mr.Job, error) {
+	return &mr.Job{
+		Name:   "chunk-means",
+		Splits: chunkSplits(n, s),
+		Map: func(ctx mr.TaskContext, split mr.Split, emit mr.Emit) error {
+			idx, err := chunkIndex(split)
+			if err != nil {
+				return err
+			}
+			chunk, err := src.Chunk(idx*s, (idx+1)*s)
+			if err != nil {
+				return err
+			}
+			var sum float64
+			for _, v := range chunk {
+				sum += v
+			}
+			ctx.Counters.Add("means.rows_read", int64(len(chunk)))
+			return emit(mr.EncodeUint64(uint64(idx)), mr.EncodeFloat64(sum/float64(s)))
+		},
+		Reducers: 1,
+	}, nil
 }
 
 // EvaluateMaxAbs measures the exact maximum absolute error of a synopsis
@@ -266,11 +304,11 @@ func EvaluateMaxRel(src Source, syn *synopsis.Synopsis, chunk int, eng mr.Engine
 // evaluateMax runs the shared evaluation job; sanity == 0 selects the
 // absolute metric, sanity > 0 the relative metric with that bound.
 func evaluateMax(src Source, syn *synopsis.Synopsis, chunk int, eng mr.Engine, sanity float64, parent *obs.Span) (float64, mr.Metrics, error) {
-	n := src.N()
-	if syn.N != n {
-		return 0, mr.Metrics{}, fmt.Errorf("dist: synopsis over %d values, source has %d", syn.N, n)
+	job, err := evalFileJob.job(src, evalParams{Chunk: chunk, N: syn.N, Terms: syn.Terms, Sanity: sanity})
+	if err != nil {
+		return 0, mr.Metrics{}, err
 	}
-	res, err := runJob(eng, evaluateMaxJob(src, syn, chunk, sanity), parent)
+	res, err := runJob(eng, job, parent)
 	if err != nil {
 		return 0, mr.Metrics{}, err
 	}
@@ -280,10 +318,24 @@ func evaluateMax(src Source, syn *synopsis.Synopsis, chunk int, eng mr.Engine, s
 	return mr.DecodeFloat64(res.Partitions[0][0].Value), res.Metrics, nil
 }
 
-// evaluateMaxJob builds the evaluation job (shared by the local and
-// cluster paths).
-func evaluateMaxJob(src Source, syn *synopsis.Synopsis, chunk int, sanity float64) *mr.Job {
-	n := src.N()
+// evalParams parameterizes the evaluation job: the synopsis (N, Terms) to
+// measure over chunks of Chunk values; Sanity 0 selects the absolute
+// metric, > 0 the relative metric with that bound.
+type evalParams struct {
+	Chunk  int
+	N      int
+	Terms  []synopsis.Coefficient
+	Sanity float64
+}
+
+// evaluateMaxJob builds the evaluation job.
+func evaluateMaxJob(src Source, n int, p evalParams) (*mr.Job, error) {
+	if p.N != n {
+		return nil, fmt.Errorf("dist: synopsis over %d values, source has %d", p.N, n)
+	}
+	chunk, sanity := p.Chunk, p.Sanity
+	syn := synopsis.New(n)
+	syn.Terms = p.Terms
 	terms := syn.Map()
 	job := &mr.Job{
 		Name:   "evaluate-maxabs",
@@ -360,7 +412,7 @@ func evaluateMaxJob(src Source, syn *synopsis.Synopsis, chunk int, sanity float6
 		},
 		Reducers: 1,
 	}
-	return job
+	return job, nil
 }
 
 // padCheck validates n is a power of two, returning a friendly error

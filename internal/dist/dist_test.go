@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"sort"
+	"sync"
 	"testing"
 
 	"dwmaxerr/internal/dataset"
@@ -321,14 +322,22 @@ func TestDGreedyAbsWithFailureInjection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Injectors run concurrently across tasks, so the memory of who failed
+	// already is locked.
+	var mu sync.Mutex
 	failedOnce := map[[2]int]bool{}
 	eng := &mr.Local{FailureInjector: func(kind string, ctx mr.TaskContext) error {
-		k := [2]int{ctx.TaskID, ctx.Attempt}
-		if kind == "map" && ctx.TaskID%3 == 0 && ctx.Attempt == 1 && !failedOnce[k] {
-			failedOnce[k] = true
-			return errors.New("injected map failure")
+		if kind != "map" || ctx.TaskID%3 != 0 || ctx.Attempt != 1 {
+			return nil
 		}
-		return nil
+		mu.Lock()
+		defer mu.Unlock()
+		k := [2]int{ctx.TaskID, ctx.Attempt}
+		if failedOnce[k] {
+			return nil
+		}
+		failedOnce[k] = true
+		return errors.New("injected map failure")
 	}}
 	faulty, err := DGreedyAbs(SliceSource(data), 16, Config{SubtreeLeaves: 16, Engine: eng})
 	if err != nil {

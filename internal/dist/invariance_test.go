@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"dwmaxerr/internal/dp"
-	"dwmaxerr/internal/mr"
 	"dwmaxerr/internal/synopsis"
 )
 
@@ -176,26 +175,5 @@ func TestReportMakespanMonotone(t *testing.T) {
 	m1 := rep.Makespan(1, 1)
 	if !(m40 <= m10 && m10 <= m1) {
 		t.Fatalf("makespans not monotone: 40→%v 10→%v 1→%v", m40, m10, m1)
-	}
-}
-
-func TestDGreedyAbsOverSpillingEngine(t *testing.T) {
-	// The external-shuffle engine must be a drop-in replacement.
-	data := randData(211, 256, 800)
-	src := SliceSource(data)
-	base, err := DGreedyAbs(src, 32, Config{SubtreeLeaves: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	spillEng := &mr.Local{SpillThreshold: 32, SpillDir: t.TempDir()}
-	spill, err := DGreedyAbs(src, 32, Config{SubtreeLeaves: 16, Engine: spillEng})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if spill.MaxErr != base.MaxErr {
-		t.Fatalf("spilling engine changed the result: %g vs %g", spill.MaxErr, base.MaxErr)
-	}
-	if !reflect.DeepEqual(termIndices(spill.Synopsis), termIndices(base.Synopsis)) {
-		t.Fatal("spilling engine changed the synopsis")
 	}
 }

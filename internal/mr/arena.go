@@ -104,20 +104,6 @@ func (mc *mapCollector) emit(key, value []byte) error {
 	return nil
 }
 
-// discard recycles the collector's arena — the output of a failed or
-// speculation-losing attempt is never referenced again.
-func (mc *mapCollector) discard() { mc.arena.release() }
-
-// reduceTaskOut is a reduce attempt's output: pairs backed by the
-// attempt's own arena. Committed outputs keep their arena alive (Result
-// aliases the records); losing attempts discard it.
-type reduceTaskOut struct {
-	arena byteArena
-	out   []Pair
-}
-
-func (ro *reduceTaskOut) discard() { ro.arena.release() }
-
 // emitInto returns an Emit that copies records into arena and appends to
 // *out — the sink for combiner and reducer output.
 func emitInto(arena *byteArena, out *[]Pair) Emit {

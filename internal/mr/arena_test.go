@@ -126,7 +126,7 @@ func init() {
 
 func TestEmitCopiesCluster(t *testing.T) {
 	c := startCluster(t, 2)
-	res, err := c.Run("scratch-reuse-cluster", nil)
+	res, err := runRegistered(c, "scratch-reuse-cluster", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

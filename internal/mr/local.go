@@ -1,12 +1,8 @@
 package mr
 
 import (
-	"fmt"
 	"runtime"
-	"sync"
 	"time"
-
-	"dwmaxerr/internal/obs"
 )
 
 // Local is the in-process engine. The zero value is usable: it runs tasks
@@ -17,8 +13,9 @@ type Local struct {
 	// MaxAttempts per task; 0 means 3.
 	MaxAttempts int
 	// SpeculationAfter enables Hadoop-style backup tasks: when an attempt
-	// has run longer than this duration, a backup attempt of the same task
-	// is launched and the first to finish wins. 0 disables speculation.
+	// has run longer than this duration and a slot is idle, a backup
+	// attempt of the same task is launched and the first to finish wins.
+	// 0 disables speculation.
 	SpeculationAfter time.Duration
 	// SpillThreshold, when positive, switches to the external shuffle:
 	// map-output partitions exceeding this many records are sorted and
@@ -35,20 +32,6 @@ type Local struct {
 	DelayInjector func(kind string, ctx TaskContext)
 }
 
-func (l *Local) workers() int {
-	if l.Workers > 0 {
-		return l.Workers
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-func (l *Local) attempts() int {
-	if l.MaxAttempts > 0 {
-		return l.MaxAttempts
-	}
-	return 3
-}
-
 // Run implements Engine.
 func (l *Local) Run(job *Job) (*Result, error) {
 	return l.RunWith(job, JobOptions{})
@@ -57,323 +40,70 @@ func (l *Local) Run(job *Job) (*Result, error) {
 // RunWith implements TracingEngine: like Run, recording the job under
 // opts.Trace when set.
 func (l *Local) RunWith(job *Job, opts JobOptions) (*Result, error) {
-	if err := job.validate(); err != nil {
-		return nil, err
+	workers := l.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
-	obsJobsRun.Inc()
-	jobSpan := opts.Trace.Child("job:" + job.Name)
-	defer jobSpan.End()
-	jobSpan.SetStr("engine", "local")
-	jobSpan.SetInt("splits", int64(len(job.Splits)))
+	ex := &localExec{l: l, sem: make(chan struct{}, workers)}
 	if l.SpillThreshold > 0 {
-		return l.runSpill(job, jobSpan)
+		return ex.runSpill(job, opts)
 	}
-	start := time.Now()
-	res := &Result{}
-	res.Metrics.Job = job.Name
-
-	// ---- Map phase ----
-	nred := job.reducers()
-	mapOuts := make([][][]Pair, len(job.Splits))
-	mapSpan := jobSpan.Child("map-phase")
-	if err := l.runTasks("map", len(job.Splits), &res.Metrics, mapSpan, func(i int, ctx TaskContext) (interface{}, error) {
-		mc := newMapCollector(job, nred)
-		if err := job.Map(ctx, job.Splits[i], mc.emit); err != nil {
-			mc.discard()
-			return nil, err
-		}
-		if job.Combine != nil {
-			for p := range mc.parts {
-				combined, err := combinePartition(job, ctx, &mc.arena, mc.parts[p])
-				if err != nil {
-					mc.discard()
-					return nil, err
-				}
-				mc.parts[p] = combined
-			}
-		}
-		return mc, nil
-	}, func(i int, out interface{}) {
-		// The committed collector's arena stays live for the rest of the
-		// run: Result aliases its records, so it is never recycled.
-		mapOuts[i] = out.(*mapCollector).parts
-	}); err != nil {
-		mapSpan.End()
-		return nil, err
-	}
-	mapSpan.End()
-	res.Metrics.MapTasks = len(job.Splits)
-	res.Metrics.MapRetries = countRetries(res.Metrics.MapStats)
-
-	// ---- Shuffle ----
-	shuffleSpan := jobSpan.Child("shuffle")
-	buckets := make([][]Pair, nred)
-	for _, parts := range mapOuts {
-		for p, pairs := range parts {
-			buckets[p] = append(buckets[p], pairs...)
-			for _, kv := range pairs {
-				res.Metrics.ShuffleRecords++
-				res.Metrics.ShuffleBytes += int64(len(kv.Key) + len(kv.Value))
-			}
-		}
-	}
-	obsShuffleRecords.Add(res.Metrics.ShuffleRecords)
-	obsShuffleBytes.Add(res.Metrics.ShuffleBytes)
-	for p := range buckets {
-		sortPairs(job, buckets[p])
-	}
-	shuffleSpan.SetInt("records", res.Metrics.ShuffleRecords)
-	shuffleSpan.SetInt("bytes", res.Metrics.ShuffleBytes)
-	shuffleSpan.End()
-
-	// ---- Reduce phase ----
-	res.Partitions = make([][]Pair, nred)
-	if job.Reduce == nil {
-		copy(res.Partitions, buckets)
-	} else {
-		reduceSpan := jobSpan.Child("reduce-phase")
-		if err := l.runTasks("reduce", nred, &res.Metrics, reduceSpan, func(p int, ctx TaskContext) (interface{}, error) {
-			ro := &reduceTaskOut{}
-			if err := reduceBucket(job, ctx, buckets[p], emitInto(&ro.arena, &ro.out)); err != nil {
-				ro.discard()
-				return nil, err
-			}
-			return ro, nil
-		}, func(p int, out interface{}) {
-			res.Partitions[p] = out.(*reduceTaskOut).out
-		}); err != nil {
-			reduceSpan.End()
-			return nil, err
-		}
-		reduceSpan.End()
-		res.Metrics.ReduceTasks = nred
-		res.Metrics.ReduceRetries = countRetries(res.Metrics.ReduceStats)
-	}
-	for _, part := range res.Partitions {
-		for _, kv := range part {
-			res.Metrics.OutputRecords++
-			res.Metrics.OutputBytes += int64(len(kv.Key) + len(kv.Value))
-		}
-	}
-	res.Metrics.WallTime = time.Since(start)
-	return res, nil
+	return run(ex, job, opts)
 }
 
-// reduceBucket groups a sorted bucket by key and invokes the reducer. One
-// values slice is reused across groups (valid only during the Reduce call,
-// per the contract in mr.go).
-func reduceBucket(job *Job, ctx TaskContext, bucket []Pair, emit Emit) error {
-	var values [][]byte
-	i := 0
-	for i < len(bucket) {
-		j := i + 1
-		for j < len(bucket) && job.compare(bucket[j].Key, bucket[i].Key) == 0 {
-			j++
-		}
-		values = values[:0]
-		for _, kv := range bucket[i:j] {
-			values = append(values, kv.Value)
-		}
-		if err := job.Reduce(ctx, bucket[i].Key, values, emit); err != nil {
-			return err
-		}
-		i = j
+// localExec is Local's executor for one run: a semaphore of Workers slots
+// and a direct call of the task body.
+type localExec struct {
+	l   *Local
+	sem chan struct{}
+}
+
+// localSlot is one semaphore token; the slots are interchangeable.
+type localSlot struct{}
+
+func (localSlot) label() string { return "" }
+
+func (ex *localExec) acquire(wait bool) (slot, error) {
+	if wait {
+		ex.sem <- struct{}{}
+		return localSlot{}, nil
+	}
+	select {
+	case ex.sem <- struct{}{}:
+		return localSlot{}, nil
+	default:
+		return nil, nil
+	}
+}
+
+func (ex *localExec) release(slot) { <-ex.sem }
+
+func (ex *localExec) attempts() int {
+	if ex.l.MaxAttempts > 0 {
+		return ex.l.MaxAttempts
+	}
+	return 3
+}
+
+func (ex *localExec) speculateAfter() time.Duration { return ex.l.SpeculationAfter }
+
+func (ex *localExec) name() string { return "local" }
+
+func (ex *localExec) execute(_ slot, t *wireTask) (wireReply, error) {
+	if err := ex.inject(t.Kind, t.TaskID, t.Attempt); err != nil {
+		return wireReply{}, err
+	}
+	return executeTask(t)
+}
+
+// inject consults the test injectors ahead of an attempt's body.
+func (ex *localExec) inject(kind string, id, attempt int) error {
+	ctx := TaskContext{TaskID: id, Attempt: attempt}
+	if ex.l.DelayInjector != nil {
+		ex.l.DelayInjector(kind, ctx)
+	}
+	if ex.l.FailureInjector != nil {
+		return ex.l.FailureInjector(kind, ctx)
 	}
 	return nil
-}
-
-// combinePartition applies the combiner to one map task's partition
-// output, emitting combined records into arena.
-func combinePartition(job *Job, ctx TaskContext, arena *byteArena, pairs []Pair) ([]Pair, error) {
-	sorted := getPairBuf(len(pairs))
-	defer putPairBuf(sorted)
-	copy(sorted, pairs)
-	sortPairs(job, sorted)
-	var out []Pair
-	emit := emitInto(arena, &out)
-	var values [][]byte
-	i := 0
-	for i < len(sorted) {
-		j := i + 1
-		for j < len(sorted) && job.compare(sorted[j].Key, sorted[i].Key) == 0 {
-			j++
-		}
-		values = values[:0]
-		for _, kv := range sorted[i:j] {
-			values = append(values, kv.Value)
-		}
-		if err := job.Combine(ctx, sorted[i].Key, values, emit); err != nil {
-			return nil, err
-		}
-		i = j
-	}
-	return out, nil
-}
-
-// taskRun executes one task attempt, returning its output for commit.
-type taskRun func(i int, ctx TaskContext) (interface{}, error)
-
-// runTasks executes n tasks on the worker pool with retry and optional
-// speculation, committing exactly one successful attempt's output per task
-// and recording every attempt in metrics and as children of phase.
-func (l *Local) runTasks(kind string, n int, m *Metrics, phase *obs.Span, run taskRun, commit func(i int, out interface{})) error {
-	sem := make(chan struct{}, l.workers())
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
-	jobCounters := NewCounters()
-	// Commits run from task goroutines; serialize them so commit funcs may
-	// touch shared metrics safely.
-	lockedCommit := func(i int, out interface{}) {
-		mu.Lock()
-		defer mu.Unlock()
-		commit(i, out)
-	}
-	report := func(st TaskStat) {
-		mu.Lock()
-		defer mu.Unlock()
-		if kind == "map" {
-			m.MapStats = append(m.MapStats, st)
-		} else {
-			m.ReduceStats = append(m.ReduceStats, st)
-		}
-	}
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			err := l.runOneTask(kind, i, sem, phase, run, lockedCommit, report, jobCounters)
-			if err != nil {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = &taskError{kind: kind, id: i, err: err}
-				}
-				mu.Unlock()
-			}
-		}(i)
-	}
-	wg.Wait()
-	if snap := jobCounters.snapshot(); snap != nil {
-		mu.Lock()
-		m.addUserCounters(snap)
-		mu.Unlock()
-	}
-	return firstErr
-}
-
-// runOneTask drives the attempts of a single task: a primary attempt, an
-// optional speculative backup, then sequential retries.
-func (l *Local) runOneTask(kind string, i int, sem chan struct{}, phase *obs.Span, run taskRun, commit func(int, interface{}), report func(TaskStat), jobCounters *Counters) error {
-	type attemptResult struct {
-		out      interface{}
-		err      error
-		attempt  int
-		dur      time.Duration
-		counters *Counters
-	}
-	results := make(chan attemptResult, 2)
-	committed := false
-	attempt := 0
-	launch := func(borrowSlot bool) {
-		attempt++
-		a := attempt
-		obsTasksLaunched.Inc()
-		do := func() {
-			span := phase.Child(kind)
-			span.SetInt("task", int64(i))
-			span.SetInt("attempt", int64(a))
-			t0 := time.Now()
-			counters := NewCounters()
-			out, err := l.attemptTask(kind, TaskContext{TaskID: i, Attempt: a, Counters: counters}, run, i)
-			dur := time.Since(t0)
-			obsWorkerTasksExecuted.Inc()
-			obsTaskDurationUS.Observe(dur.Microseconds())
-			span.SetBool("failed", err != nil)
-			span.End()
-			results <- attemptResult{out: out, err: err, attempt: a, dur: dur, counters: counters}
-		}
-		if borrowSlot {
-			go func() {
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				do()
-			}()
-			return
-		}
-		go do()
-	}
-	launch(false)
-	inFlight := 1
-	var timer <-chan time.Time
-	if l.SpeculationAfter > 0 {
-		timer = time.After(l.SpeculationAfter)
-	}
-	var lastErr error
-	for {
-		select {
-		case r := <-results:
-			inFlight--
-			report(TaskStat{TaskID: i, Attempt: r.attempt, Duration: r.dur, Failed: r.err != nil})
-			if r.err == nil && !committed {
-				committed = true
-				commit(i, r.out)
-				r.counters.mergeInto(jobCounters)
-			} else if r.err == nil {
-				// A slower duplicate of an already-committed task: release
-				// any resources it produced.
-				obsTaskCommitDups.Inc()
-				if d, ok := r.out.(discardable); ok {
-					d.discard()
-				}
-			}
-			if r.err != nil {
-				lastErr = r.err
-			}
-			if committed {
-				// Wait out any straggling attempt so metrics stay complete
-				// and no goroutine outlives the job.
-				if inFlight == 0 {
-					return nil
-				}
-				continue
-			}
-			if attempt < l.attempts() {
-				obsTaskRetries.Inc()
-				launch(false)
-				inFlight++
-				continue
-			}
-			if inFlight == 0 {
-				return lastErr
-			}
-		case <-timer:
-			timer = nil
-			if !committed && inFlight == 1 && attempt < l.attempts() {
-				obsSpeculativeAttempts.Inc()
-				launch(true) // speculative backup borrows a pool slot
-				inFlight++
-			}
-		}
-	}
-}
-
-func (l *Local) attemptTask(kind string, ctx TaskContext, run taskRun, i int) (out interface{}, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("panic: %v", r)
-		}
-	}()
-	if l.DelayInjector != nil {
-		l.DelayInjector(kind, ctx)
-	}
-	if l.FailureInjector != nil {
-		if ferr := l.FailureInjector(kind, ctx); ferr != nil {
-			return nil, ferr
-		}
-	}
-	return run(i, ctx)
 }

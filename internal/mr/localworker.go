@@ -12,23 +12,27 @@ import (
 // business paying for TCP framing, CRC trailers, and a serialize/decode
 // round trip per task — the dominant fixed cost of small jobs when driver
 // and workers share a process (the common single-machine deployment, and
-// every test). AttachLocalWorker registers a worker that receives tasks
-// over an in-memory channel and returns replies by reference.
+// every test) — nor for re-running the job factory per task.
+// AttachLocalWorker registers a worker that receives tasks over an
+// in-memory channel, executes the driver's *Job by pointer (so a job needs
+// no registry reference to run on it), and returns replies by reference.
 //
-// The rest of the coordinator is unchanged: scheduling, retries,
-// speculation, the at-most-once commit, and metrics all operate on the
-// same workerConn, so a cluster may freely mix TCP and shared-memory
-// workers. Chaos failpoints are honored at the same protocol positions as
-// the TCP path (chaosCoordSend before task handoff, chaosWorkerTask before
-// execution, chaosWorkerSend before the reply is delivered), so fault
-// drills exercise both transports.
+// To the coordinator it is one more slot: the shared pipeline schedules,
+// retries, speculates and commits over the same workerConn, so a cluster
+// may freely mix TCP and shared-memory workers. Sharing the *Job means its
+// task callbacks run concurrently on these workers exactly as they do on
+// Local — they may share nothing mutable. Chaos failpoints are honored at
+// the same protocol positions as the TCP path (chaosCoordSend before task
+// handoff, chaosWorkerTask before execution, chaosWorkerSend before the
+// reply is delivered), so fault drills exercise both transports.
 //
 // Memory discipline: the TCP worker recycles its task arenas after
 // serializing a reply (nothing references the pairs once they are bytes on
 // the wire). A shared-memory reply is not serialized — the coordinator
-// retains the pairs themselves through shuffle and merge — so the arena
-// release is intentionally skipped and the blocks stay alive until the
-// job's results are garbage.
+// retains the pairs themselves through shuffle and merge — so the worker
+// never recycles; the attempt loop does, for replies that lose the commit
+// race, and a committed reply's blocks stay alive until the job's results
+// are garbage.
 
 // AttachLocalWorker registers a shared-memory worker with the coordinator
 // and starts its task loop in a new goroutine. The worker participates in
@@ -84,9 +88,10 @@ func (c *Coordinator) localWorkerLoop(w *workerConn) {
 		case chaos.Delay:
 			time.Sleep(act.Sleep)
 		}
-		// done is NOT called: the reply's pairs are handed to the
-		// coordinator by reference (see the package comment).
-		reply, _ := executeWireTask(task)
+		// No recycle here: the reply's pairs are handed to the coordinator
+		// by reference (see the header comment). A failure travels as
+		// reply.Err, like a TCP worker's.
+		reply, _ := executeTask(&task)
 		switch act := chaos.Point(chaosWorkerSend); act.Kind {
 		case chaos.Fail:
 			c.workerFailed(w, act.Err)

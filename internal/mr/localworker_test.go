@@ -4,14 +4,14 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 
 	"dwmaxerr/internal/chaos"
 )
 
-// Shared-memory worker coverage: output/metric invariance against the
-// Local engine (and a mixed TCP+local fleet), chaos failpoints on the
-// in-memory path, detach-triggered retries, and clean shutdown.
+// Shared-memory worker coverage: counter parity with the Local engine,
+// chaos failpoints on the in-memory path, detach-triggered retries, and
+// clean shutdown. Output and shuffle-volume invariance across every fleet
+// mix lives in the engine table of conformance_test.go.
 
 // startLocalCluster builds a coordinator served entirely by shared-memory
 // workers. Attach is synchronous, so no WaitForWorkers is needed.
@@ -31,80 +31,10 @@ func startLocalCluster(t *testing.T, workers int) *Coordinator {
 	return c
 }
 
-func TestLocalWorkersMatchLocal(t *testing.T) {
-	texts := []string{"the quick brown fox", "jumps over the lazy dog", "the end"}
-	c := startLocalCluster(t, 3)
-	clusterRes, err := c.Run("tcp-wordcount", MustGobEncode(texts))
-	if err != nil {
-		t.Fatal(err)
-	}
-	localRes, err := (&Local{}).Run(wordCountJob(texts, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(countsOf(clusterRes), countsOf(localRes)) {
-		t.Fatalf("cluster %v != local %v", countsOf(clusterRes), countsOf(localRes))
-	}
-	if len(clusterRes.Partitions) != len(localRes.Partitions) {
-		t.Fatal("partition count mismatch")
-	}
-	for p := range clusterRes.Partitions {
-		if !reflect.DeepEqual(clusterRes.Partitions[p], localRes.Partitions[p]) {
-			t.Fatalf("partition %d differs", p)
-		}
-	}
-	// ShuffleBytes is computed from pair lengths, so the Eq. 6 metric is
-	// identical no matter which transport moved the pairs.
-	if clusterRes.Metrics.ShuffleBytes != localRes.Metrics.ShuffleBytes {
-		t.Fatalf("shuffle bytes: cluster %d local %d",
-			clusterRes.Metrics.ShuffleBytes, localRes.Metrics.ShuffleBytes)
-	}
-}
-
-func TestMixedFleetMatchesLocal(t *testing.T) {
-	texts := []string{"x y x", "z z y", "w"}
-	c, err := NewCoordinator("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	stop := make(chan struct{})
-	defer close(stop)
-	go Serve(c.Addr(), "tcp-w", stop)
-	if err := c.WaitForWorkers(1, 5*time.Second); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 2; i++ {
-		if _, err := c.AttachLocalWorker("shm" + string(rune('0'+i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	clusterRes, err := c.Run("tcp-wordcount", MustGobEncode(texts))
-	if err != nil {
-		t.Fatal(err)
-	}
-	localRes, err := (&Local{}).Run(wordCountJob(texts, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(countsOf(clusterRes), countsOf(localRes)) {
-		t.Fatalf("mixed fleet %v != local %v", countsOf(clusterRes), countsOf(localRes))
-	}
-	for p := range clusterRes.Partitions {
-		if !reflect.DeepEqual(clusterRes.Partitions[p], localRes.Partitions[p]) {
-			t.Fatalf("partition %d differs", p)
-		}
-	}
-	if clusterRes.Metrics.ShuffleBytes != localRes.Metrics.ShuffleBytes {
-		t.Fatalf("shuffle bytes: mixed %d local %d",
-			clusterRes.Metrics.ShuffleBytes, localRes.Metrics.ShuffleBytes)
-	}
-}
-
 func TestLocalWorkerCountersMatchLocal(t *testing.T) {
 	c := startLocalCluster(t, 2)
 	params := MustGobEncode(faultJobParams{Texts: []string{"a b a", "c c", "a d e"}})
-	clusterRes, err := c.Run("fault-count", params)
+	clusterRes, err := runRegistered(c, "fault-count", params)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +50,7 @@ func TestLocalWorkerCountersMatchLocal(t *testing.T) {
 
 func TestLocalWorkerTaskFailureSurfaces(t *testing.T) {
 	c := startLocalCluster(t, 2)
-	_, err := c.Run("tcp-flaky", nil)
+	_, err := runRegistered(c, "tcp-flaky", nil)
 	if err == nil || !strings.Contains(err.Error(), "panic") {
 		t.Fatalf("err = %v, want worker panic error", err)
 	}
@@ -137,7 +67,7 @@ func TestLocalWorkerChaosTaskFail(t *testing.T) {
 	chaos.Enable(in)
 	defer chaos.Disable()
 	c := startLocalCluster(t, 2)
-	res, err := c.Run("tcp-wordcount", MustGobEncode([]string{"a a", "b", "c c"}))
+	res, err := runRegistered(c, "tcp-wordcount", MustGobEncode([]string{"a a", "b", "c c"}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +93,7 @@ func TestLocalWorkerChaosSendFails(t *testing.T) {
 			chaos.Enable(in)
 			defer chaos.Disable()
 			c := startLocalCluster(t, 2)
-			res, err := c.Run("tcp-wordcount", MustGobEncode([]string{"p q", "q"}))
+			res, err := runRegistered(c, "tcp-wordcount", MustGobEncode([]string{"p q", "q"}))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -195,7 +125,7 @@ func TestLocalWorkerDetach(t *testing.T) {
 	}
 	detach()
 	detach()
-	res, err := c.Run("tcp-wordcount", MustGobEncode([]string{"a a", "b"}))
+	res, err := runRegistered(c, "tcp-wordcount", MustGobEncode([]string{"a a", "b"}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +152,7 @@ func TestAttachLocalWorkerAfterClose(t *testing.T) {
 func TestLocalWorkerRepeatedRuns(t *testing.T) {
 	c := startLocalCluster(t, 2)
 	for i := 0; i < 5; i++ {
-		res, err := c.Run("tcp-wordcount", MustGobEncode([]string{"m n", "n"}))
+		res, err := runRegistered(c, "tcp-wordcount", MustGobEncode([]string{"m n", "n"}))
 		if err != nil {
 			t.Fatalf("run %d: %v", i, err)
 		}

@@ -3,22 +3,32 @@
 // It provides the semantics the distributed thresholding algorithms need —
 // input splits, map tasks, a sorting/partitioning shuffle, reduce tasks,
 // combiners, configurable map/reduce slot counts, task retry with failure
-// injection — in two engines:
+// injection.
 //
-//   - Local: an in-process engine executing tasks on a goroutine pool. It
-//     records per-task durations and shuffle volumes, and can report the
-//     simulated makespan for any slot count, which is how the scalability
+// There is one way to run a job (pipeline.go): one phase pipeline — map
+// phase, shuffle, reduce phase, metrics — and one attempt loop — primary
+// attempt, speculative backup, retries, first success commits — shared by
+// every engine. An engine only supplies the executor behind them: somewhere
+// to run an attempt.
+//
+//   - Local: a semaphore of in-process slots and a direct call of the task
+//     body. It records per-task durations and shuffle volumes, and can report
+//     the simulated makespan for any slot count, which is how the scalability
 //     series of Figures 5c/5d (runtime vs. number of parallel tasks) are
-//     regenerated on a single machine.
-//   - Cluster: a TCP coordinator/worker runtime executing the same jobs
-//     across processes over a compact length-prefixed binary wire format
-//     (wire.go; gob only for the per-connection hello). Workers heartbeat the
-//     coordinator; a monitor declares silent workers dead mid-task and
-//     reassigns their work, task replies carry per-attempt user-counter
-//     snapshots and durations, attempts are numbered identically to the
-//     local engine, speculative backup attempts can race stragglers, and
-//     Close drains workers with a shutdown broadcast. Task output is
-//     committed at most once (first successful attempt wins).
+//     regenerated on a single machine. It also carries the one alternate
+//     shuffle, the external sort-spill-merge of spill.go.
+//   - Coordinator: a fleet of workers, each one slot. TCP workers receive
+//     tasks over a compact length-prefixed binary wire format (wire.go; gob
+//     only for the per-connection hello) and rebuild the job from the
+//     registry; shared-memory workers (localworker.go) receive the task
+//     struct over a channel and run the driver's *Job by pointer. Workers
+//     heartbeat the coordinator; a monitor declares silent workers dead
+//     mid-task and the attempt loop reassigns their work; Close drains
+//     workers with a shutdown broadcast.
+//
+// Both engines satisfy TracingEngine, so a driver holding an Engine runs the
+// same *Job on either. Task callbacks run concurrently — across tasks, and
+// across attempts of one task — and may share nothing mutable.
 //
 // Keys and values are byte slices; encode/decode helpers live in codec.go.
 package mr
@@ -57,9 +67,9 @@ type MapFunc func(ctx TaskContext, split Split, emit Emit) error
 // the byte slices it holds stay valid for the task's lifetime.
 type ReduceFunc func(ctx TaskContext, key []byte, values [][]byte, emit Emit) error
 
-// Split is one unit of map input. Payload is opaque to the engine; local
-// jobs typically store an index or range, cluster jobs a self-describing
-// gob blob (file path + offsets).
+// Split is one unit of map input. Payload is opaque to the engine and
+// crosses the wire verbatim; the dist jobs store a uvarint chunk index and
+// leave what it indexes (file path, sub-tree size) to the job parameters.
 type Split struct {
 	ID      int
 	Payload []byte
@@ -77,6 +87,14 @@ type Job struct {
 	Partition func(key []byte, reducers int) int
 	// Compare orders keys within a partition; nil uses bytes.Compare.
 	Compare func(a, b []byte) int
+
+	// regName and regParams name the job to workers in other processes:
+	// the registry entry and parameters LookupJob built it from, which a
+	// TCP worker feeds to the same factory. A Job assembled directly from
+	// closures has neither, and runs only on executors that share the
+	// driver's memory (Local, shared-memory workers).
+	regName   string
+	regParams []byte
 }
 
 func (j *Job) reducers() int {
@@ -137,15 +155,14 @@ type TaskStat struct {
 // Equation 6 — and OutputBytes the reduce-output volume.
 //
 // Synchronization contract: task attempts complete concurrently, but no
-// engine writes a Metrics field from a task goroutine. The Local engine
-// appends TaskStats and merges counters under runTasks' mutex and fills
-// the aggregate fields on the single driver goroutine between phases; the
-// Coordinator collects per-attempt wire replies through channels and folds
-// them into Metrics in one collection loop per phase on the Run goroutine.
-// Consequently Metrics — including Makespan, which walks MapStats and
-// ReduceStats — is safe to read without locking once Run returns, and
-// never safe to read while Run is in flight. tcp_fault_test.go pins this
-// down under -race with concurrent reduce completions.
+// task goroutine writes a Metrics field. Each task's attempt loop hands its
+// TaskStats and committed reply over a channel to runPhase, which collects
+// them in one loop per phase on the Run goroutine; the pipeline folds them
+// into Metrics between phases. Consequently Metrics — including Makespan,
+// which walks MapStats and ReduceStats — is safe to read without locking
+// once Run returns, and never safe to read while Run is in flight.
+// tcp_fault_test.go pins this down under -race with concurrent reduce
+// completions.
 type Metrics struct {
 	Job            string
 	MapTasks       int
@@ -165,16 +182,20 @@ type Metrics struct {
 	WallTime     time.Duration
 }
 
-// countRetries counts committed attempts beyond the first — the
-// engine-agnostic retry accounting shared by Local and Coordinator.
-func countRetries(stats []TaskStat) int {
-	n := 0
+// recordPhase files one finished phase: every attempt's stat, the task
+// count, and the committed attempts beyond the first as retries.
+func (m *Metrics) recordPhase(kind string, tasks int, stats []TaskStat) {
+	retries := 0
 	for _, st := range stats {
 		if st.Attempt > 1 && !st.Failed {
-			n++
+			retries++
 		}
 	}
-	return n
+	if kind == "map" {
+		m.MapStats, m.MapTasks, m.MapRetries = stats, tasks, retries
+	} else {
+		m.ReduceStats, m.ReduceTasks, m.ReduceRetries = stats, tasks, retries
+	}
 }
 
 // Makespan simulates executing the recorded map tasks on mapSlots parallel
@@ -245,7 +266,7 @@ type Engine interface {
 }
 
 // TracingEngine is implemented by engines that accept per-run JobOptions
-// (both Local and Coordinator do). Callers holding a plain Engine can
+// (both *Local and *Coordinator do). Callers holding a plain Engine can
 // type-assert to plug a trace in without changing call signatures.
 type TracingEngine interface {
 	Engine

@@ -142,12 +142,11 @@ func TestLocalCustomCompareAndPartition(t *testing.T) {
 }
 
 func TestLocalRetryOnInjectedFailure(t *testing.T) {
-	fails := map[string]bool{}
+	// Injectors run concurrently across tasks: decide from the context
+	// alone (the first attempt of task 1, in either phase, fails).
 	eng := &Local{
 		FailureInjector: func(kind string, ctx TaskContext) error {
-			k := fmt.Sprintf("%s-%d", kind, ctx.TaskID)
-			if !fails[k] && ctx.TaskID == 1 {
-				fails[k] = true
+			if ctx.TaskID == 1 && ctx.Attempt == 1 {
 				return errors.New("injected")
 			}
 			return nil

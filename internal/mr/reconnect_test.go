@@ -48,7 +48,7 @@ func TestWorkerReconnectsAfterConnectionLoss(t *testing.T) {
 	retries0 := obsTaskRetries.Value()
 
 	params := MustGobEncode(faultJobParams{Texts: []string{"a b a", "c c", "a d e"}})
-	clusterRes, err := c.Run("fault-count", params)
+	clusterRes, err := runRegistered(c, "fault-count", params)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,8 +126,11 @@ func TestWorkerSingleSessionKeepsContract(t *testing.T) {
 		if err != nil {
 			return
 		}
-		buf := make([]byte, 1<<10)
-		conn.Read(buf)
+		// Consume both writes before closing: closing with unread data
+		// resets the connection instead of ending it cleanly.
+		if _, err := readPreamble(conn); err == nil {
+			newFrameReader(conn).read()
+		}
 		time.Sleep(20 * time.Millisecond)
 		conn.Close()
 	}()

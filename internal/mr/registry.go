@@ -7,10 +7,10 @@ import (
 )
 
 // JobFactory instantiates a fully-wired Job (splits, map, reduce,
-// partitioner) from an opaque parameter blob. Cluster workers cannot
-// receive Go functions over the wire, so both the coordinator and every
-// worker construct the job locally through the same registered factory —
-// the moral equivalent of shipping the same job JAR to every Hadoop node.
+// partitioner) from an opaque parameter blob. TCP workers cannot receive
+// Go functions over the wire, so the driver and every such worker construct
+// the job through the same registered factory — the moral equivalent of
+// shipping the same job JAR to every Hadoop node.
 type JobFactory func(params []byte) (*Job, error)
 
 var (
@@ -29,7 +29,9 @@ func RegisterJob(name string, f JobFactory) {
 	registry[name] = f
 }
 
-// LookupJob instantiates a registered job.
+// LookupJob instantiates a registered job. The Job remembers (name,
+// params): that pair is all a Coordinator ships to a TCP worker, which
+// calls LookupJob with it again.
 func LookupJob(name string, params []byte) (*Job, error) {
 	registryMu.RLock()
 	f, ok := registry[name]
@@ -37,7 +39,12 @@ func LookupJob(name string, params []byte) (*Job, error) {
 	if !ok {
 		return nil, fmt.Errorf("mr: unknown job %q (registered: %v)", name, RegisteredJobs())
 	}
-	return f(params)
+	job, err := f(params)
+	if err != nil {
+		return nil, err
+	}
+	job.regName, job.regParams = name, params
+	return job, nil
 }
 
 // HasJob reports whether a job factory is registered under name. Cluster

@@ -43,6 +43,7 @@ type mapOutput struct {
 // spilled partition's memory recycles as soon as its run is on disk.
 type spillCollector struct {
 	job       *Job
+	ctx       TaskContext // the map attempt's, handed to the combiner
 	dir       string
 	threshold int
 	out       mapOutput
@@ -50,13 +51,14 @@ type spillCollector struct {
 	spilled   int64 // bytes written to disk
 }
 
-func newSpillCollector(job *Job, dir string, threshold, nred int) (*spillCollector, error) {
+func newSpillCollector(job *Job, ctx TaskContext, dir string, threshold, nred int) (*spillCollector, error) {
 	taskDir, err := os.MkdirTemp(dir, "spill-")
 	if err != nil {
 		return nil, err
 	}
 	return &spillCollector{
 		job:       job,
+		ctx:       ctx,
 		dir:       taskDir,
 		threshold: threshold,
 		out: mapOutput{
@@ -86,7 +88,7 @@ func (c *spillCollector) spill(p int) error {
 	}
 	sortPairs(c.job, pairs)
 	if c.job.Combine != nil {
-		combined, err := combineSorted(c.job, &c.arenas[p], pairs)
+		combined, err := combineSorted(c.job, c.ctx, &c.arenas[p], pairs)
 		if err != nil {
 			return err
 		}
@@ -120,7 +122,7 @@ func (c *spillCollector) finish() (mapOutput, error) {
 		pairs := c.out.mem[p]
 		sortPairs(c.job, pairs)
 		if c.job.Combine != nil && len(pairs) > 0 {
-			combined, err := combineSorted(c.job, &c.arenas[p], pairs)
+			combined, err := combineSorted(c.job, c.ctx, &c.arenas[p], pairs)
 			if err != nil {
 				return mapOutput{}, err
 			}
@@ -139,30 +141,6 @@ func (c *spillCollector) discard() {
 	for i := range c.arenas {
 		c.arenas[i].release()
 	}
-}
-
-// combineSorted applies the combiner to an already-sorted pair slice,
-// emitting combined records into arena.
-func combineSorted(job *Job, arena *byteArena, sorted []Pair) ([]Pair, error) {
-	var out []Pair
-	emit := emitInto(arena, &out)
-	var values [][]byte
-	i := 0
-	for i < len(sorted) {
-		j := i + 1
-		for j < len(sorted) && job.compare(sorted[j].Key, sorted[i].Key) == 0 {
-			j++
-		}
-		values = values[:0]
-		for _, kv := range sorted[i:j] {
-			values = append(values, kv.Value)
-		}
-		if err := job.Combine(TaskContext{}, sorted[i].Key, values, emit); err != nil {
-			return nil, err
-		}
-		i = j
-	}
-	return out, nil
 }
 
 // writeRun writes pairs to path, returning bytes written.
@@ -343,11 +321,4 @@ func (m *mergeStream) next() (Pair, bool, error) {
 		m.down(0)
 	}
 	return pair, true, nil
-}
-
-// close closes all sources.
-func (m *mergeStream) close() {
-	for _, s := range m.sources {
-		s.close()
-	}
 }

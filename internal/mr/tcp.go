@@ -15,9 +15,10 @@ import (
 	"dwmaxerr/internal/obs"
 )
 
-// The cluster engine: a coordinator accepts worker connections over TCP and
-// assigns map/reduce tasks of registered jobs; workers instantiate jobs via
-// the shared registry, execute tasks, and stream results back. Shuffle data
+// The cluster engine: a coordinator accepts worker connections over TCP (and
+// shared-memory workers, localworker.go) and is the executor the shared
+// pipeline (pipeline.go) runs jobs on — each live worker is one slot, and
+// executing an attempt is one task/reply exchange with it. Shuffle data
 // flows through the coordinator (adequate for the data volumes the paper's
 // algorithms shuffle: O(N/2^h) rows, not O(N) records).
 //
@@ -25,13 +26,13 @@ import (
 // goroutine (replies and heartbeats) and by the coordinator's heartbeat
 // monitor: a worker that disconnects, stops heartbeating, or overruns the
 // per-task deadline is marked dead under the coordinator lock and its
-// in-flight task is reassigned to another worker — the retry semantics
-// Hadoop provides. Task attempts carry their attempt number on the wire,
-// and replies carry the attempt's user-counter snapshot and busy duration,
-// so cluster metrics (UserCounters, MapRetries/ReduceRetries, per-attempt
-// TaskStats) match the Local engine exactly. Output is committed at most
-// once per task: the first successful attempt wins, later duplicates are
-// discarded by the coordinator.
+// in-flight exchange fails, which the attempt loop answers with a retry on
+// another worker — the retry semantics Hadoop provides. Task attempts carry
+// their attempt number on the wire, and replies carry the attempt's
+// user-counter snapshot and busy duration, so metrics (UserCounters,
+// MapRetries/ReduceRetries, per-attempt TaskStats) are the same on every
+// engine. Output is committed at most once per task: the first successful
+// attempt wins, later duplicates are discarded.
 
 // Wire messages. The coordinator sends task frames; workers answer with
 // heartbeat and reply frames. Framing and the binary payload codecs live
@@ -40,15 +41,21 @@ type wireHello struct {
 	WorkerName string
 }
 
+// wireTask describes one attempt to an executor. The exported fields are
+// what wire.go encodes for a TCP worker.
 type wireTask struct {
 	Kind     string // "map", "reduce" or "shutdown"
-	JobName  string
+	JobName  string // the job's registry reference; empty when it has none
 	Params   []byte
 	TaskID   int
-	Attempt  int    // 1-based attempt number assigned by the coordinator
+	Attempt  int    // 1-based attempt number assigned by the attempt loop
 	Split    Split  // map tasks
 	Bucket   []Pair // reduce tasks: the sorted key group stream
 	Reducers int
+
+	// job is the driver's Job itself, for executors that share its memory;
+	// it never crosses the wire.
+	job *Job
 }
 
 type wireReply struct {
@@ -62,6 +69,19 @@ type wireReply struct {
 	Counters map[string]int64
 	// Duration is the task's busy time on the worker.
 	Duration time.Duration
+
+	// release recycles the arenas behind Parts/Out. Set by executeTask,
+	// never on a decoded reply (its pairs alias the frame buffer).
+	release func()
+}
+
+// recycle returns the reply's arenas to the pool. The caller guarantees
+// nothing references its pairs any more: a TCP worker once the reply is
+// serialized, the attempt loop for a success that lost the commit race.
+func (r wireReply) recycle() {
+	if r.release != nil {
+		r.release()
+	}
 }
 
 func init() {
@@ -75,6 +95,8 @@ const (
 	defaultHeartbeatTimeout = 3 * time.Second
 	workerHeartbeatEvery    = 250 * time.Millisecond
 	shutdownGrace           = time.Second
+	// readyTimeout is how long a Run waits for a first worker to join.
+	readyTimeout = 10 * time.Second
 )
 
 // Coordinator runs cluster jobs across connected workers. The tuning
@@ -100,10 +122,10 @@ type Coordinator struct {
 	// to this long so self-healing workers (WorkerOptions.ReconnectMax)
 	// can re-register. 0 keeps the fail-fast behavior.
 	RejoinGrace time.Duration
-	// Options applies to every Run (RunWith overrides it per call). Like
-	// the tuning fields it must be set before the first Run — it exists so
-	// drivers holding a *Coordinator can plug a trace in without changing
-	// their call signatures.
+	// Options applies to every Run, and to a RunWith whose own Trace is
+	// nil. Like the tuning fields it must be set before the first Run — it
+	// exists so a process can trace every job its drivers run on this
+	// coordinator without threading a span through them.
 	Options JobOptions
 
 	monitorOnce sync.Once
@@ -123,8 +145,8 @@ type taskOutcome struct {
 
 // workerConn is the coordinator's view of one worker. The frame writer is
 // guarded by sendMu (task sends and the shutdown broadcast interleave);
-// all remaining mutable state is guarded by the coordinator's mu — the
-// seed's unsynchronized `dead` write was a data race under -race.
+// all remaining mutable state is guarded by the coordinator's mu. It is the
+// coordinator's slot type.
 type workerConn struct {
 	name string
 	conn net.Conn // nil for shared-memory workers (see localworker.go)
@@ -145,11 +167,13 @@ type workerConn struct {
 	pending  chan taskOutcome // guarded by Coordinator.mu; non-nil while a task is in flight
 }
 
+func (w *workerConn) label() string { return w.name }
+
 // sendTask encodes and writes one task frame (scratch buffer pooled).
-// Shared-memory workers skip the codec entirely: the task struct crosses a
-// channel, honoring the same coordinator-send failpoint the frame writer
-// applies (Fail and Delay; Corrupt/Partial are frame-level actions with no
-// shared-memory analogue).
+// Shared-memory workers skip the codec entirely: the task struct (with its
+// *Job) crosses a channel, honoring the same coordinator-send failpoint the
+// frame writer applies (Fail and Delay; Corrupt/Partial are frame-level
+// actions with no shared-memory analogue).
 func (w *workerConn) sendTask(task *wireTask) error {
 	if w.local != nil {
 		switch act := chaos.Point(chaosCoordSend); act.Kind {
@@ -475,12 +499,13 @@ func (c *Coordinator) monitor() {
 	}
 }
 
-// acquire pops a live idle worker, blocking while tasks are in flight on
-// other workers. It fails when the coordinator is closed or when every
-// known worker is dead and none is busy (nothing can ever free up) —
+// acquire claims a live idle worker. With wait it blocks while tasks are in
+// flight on other workers, and fails when the coordinator is closed or when
+// every known worker is dead and none is busy (nothing can ever free up) —
 // unless RejoinGrace is set, in which case the all-dead state is tolerated
-// for up to that long so reconnecting workers can re-register.
-func (c *Coordinator) acquire() (*workerConn, error) {
+// for up to that long so reconnecting workers can re-register. Without wait
+// it returns nil when no worker is idle right now.
+func (c *Coordinator) acquire(wait bool) (slot, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var allDeadSince time.Time
@@ -489,22 +514,18 @@ func (c *Coordinator) acquire() (*workerConn, error) {
 			return nil, errors.New("mr: coordinator closed")
 		}
 		busy := 0
-		var idle *workerConn
 		for _, w := range c.workers {
-			if w.dead {
-				continue
-			}
-			if w.busy {
+			switch {
+			case w.dead:
+			case w.busy:
 				busy++
-				continue
-			}
-			if idle == nil {
-				idle = w
+			default:
+				w.busy = true
+				return w, nil
 			}
 		}
-		if idle != nil {
-			idle.busy = true
-			return idle, nil
+		if !wait {
+			return nil, nil
 		}
 		if len(c.workers) > 0 && busy == 0 {
 			if c.RejoinGrace <= 0 {
@@ -530,36 +551,31 @@ func (c *Coordinator) acquire() (*workerConn, error) {
 	}
 }
 
-// tryAcquire is acquire without blocking; it returns nil when no idle live
-// worker exists right now (used to launch speculative backups only when
-// spare capacity exists).
-func (c *Coordinator) tryAcquire() *workerConn {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		return nil
-	}
-	for _, w := range c.workers {
-		if !w.dead && !w.busy {
-			w.busy = true
-			return w
-		}
-	}
-	return nil
-}
-
 // release returns a worker to the idle pool.
-func (c *Coordinator) release(w *workerConn) {
+func (c *Coordinator) release(s slot) {
 	c.mu.Lock()
-	w.busy = false
+	s.(*workerConn).busy = false
 	c.cond.Broadcast()
 	c.mu.Unlock()
+}
+
+func (c *Coordinator) speculateAfter() time.Duration { return c.SpeculationAfter }
+
+func (c *Coordinator) name() string { return "cluster" }
+
+// execute is one task/reply exchange with the claimed worker.
+func (c *Coordinator) execute(s slot, t *wireTask) (wireReply, error) {
+	reply, err := c.exchange(s.(*workerConn), t)
+	if err == nil {
+		err = validateReply(t, reply)
+	}
+	return reply, err
 }
 
 // exchange sends one task to a worker and waits for its reply, the
 // worker's death, or the task deadline — whichever happens first. A
 // deadline overrun declares the worker dead so its slot is not reused.
-func (c *Coordinator) exchange(w *workerConn, task wireTask) (wireReply, error) {
+func (c *Coordinator) exchange(w *workerConn, task *wireTask) (wireReply, error) {
 	ch := make(chan taskOutcome, 1)
 	c.mu.Lock()
 	if w.dead {
@@ -569,7 +585,7 @@ func (c *Coordinator) exchange(w *workerConn, task wireTask) (wireReply, error) 
 	w.pending = ch
 	c.mu.Unlock()
 
-	if err := w.sendTask(&task); err != nil {
+	if err := w.sendTask(task); err != nil {
 		c.mu.Lock()
 		if w.pending == ch {
 			w.pending = nil
@@ -600,7 +616,7 @@ func (c *Coordinator) exchange(w *workerConn, task wireTask) (wireReply, error) 
 // worker returning fewer partitions than the job's reducer count would
 // silently drop shuffle data, so a short Parts slice is a task failure and
 // the attempt is retried.
-func validateReply(task wireTask, reply wireReply) error {
+func validateReply(task *wireTask, reply wireReply) error {
 	if reply.Err != "" {
 		return errors.New(reply.Err)
 	}
@@ -614,248 +630,46 @@ func validateReply(task wireTask, reply wireReply) error {
 	return nil
 }
 
-// runTask executes one task, retrying on worker failure and optionally
-// launching a speculative backup attempt. It returns the committed reply
-// (first success wins — at-most-once commit) plus one TaskStat per
-// attempt, with true attempt numbers.
-func (c *Coordinator) runTask(task wireTask, phase *obs.Span) (wireReply, []TaskStat, error) {
-	type attemptResult struct {
-		reply   wireReply
-		err     error
-		attempt int
-		dur     time.Duration
-	}
-	maxAttempts := c.attempts()
-	results := make(chan attemptResult, maxAttempts+1)
-	attempt, inFlight := 0, 0
-	launch := func(w *workerConn) {
-		attempt++
-		inFlight++
-		obsTasksLaunched.Inc()
-		t := task
-		t.Attempt = attempt
-		go func(a int) {
-			span := phase.Child(t.Kind)
-			span.SetInt("task", int64(t.TaskID))
-			span.SetInt("attempt", int64(a))
-			span.SetStr("worker", w.name)
-			t0 := time.Now()
-			reply, err := c.exchange(w, t)
-			c.release(w)
-			if err == nil {
-				err = validateReply(t, reply)
-			}
-			span.SetBool("failed", err != nil)
-			span.End()
-			results <- attemptResult{reply: reply, err: err, attempt: a, dur: time.Since(t0)}
-		}(attempt)
-	}
-
-	w, err := c.acquire()
-	if err != nil {
-		return wireReply{}, nil, err
-	}
-	launch(w)
-
-	var (
-		stats     []TaskStat
-		winner    wireReply
-		committed bool
-		lastErr   error
-		spec      <-chan time.Time
-	)
-	if c.SpeculationAfter > 0 {
-		spec = time.After(c.SpeculationAfter)
-	}
-	for {
-		select {
-		case r := <-results:
-			inFlight--
-			stats = append(stats, TaskStat{TaskID: task.TaskID, Attempt: r.attempt, Duration: r.dur, Failed: r.err != nil})
-			if r.err == nil && !committed {
-				committed = true
-				winner = r.reply
-			} else if r.err == nil {
-				obsTaskCommitDups.Inc()
-			}
-			if r.err != nil {
-				lastErr = r.err
-			}
-			if committed {
-				// Wait out any straggling attempt so metrics stay complete
-				// and no goroutine outlives the job.
-				if inFlight == 0 {
-					return winner, stats, nil
-				}
-				continue
-			}
-			if attempt < maxAttempts {
-				w, err := c.acquire()
-				if err != nil {
-					if inFlight == 0 {
-						return wireReply{}, stats, fmt.Errorf("mr: task %d: %w (last attempt: %v)", task.TaskID, err, lastErr)
-					}
-					continue
-				}
-				obsTaskRetries.Inc()
-				launch(w)
-				continue
-			}
-			if inFlight == 0 {
-				return wireReply{}, stats, fmt.Errorf("mr: task %d failed after %d attempts: %w", task.TaskID, attempt, lastErr)
-			}
-		case <-spec:
-			spec = nil
-			if !committed && inFlight == 1 && attempt < maxAttempts {
-				if w := c.tryAcquire(); w != nil {
-					obsSpeculativeAttempts.Inc()
-					launch(w)
-				}
-			}
-		}
-	}
+// Run implements Engine: it executes job across the fleet through the
+// shared pipeline, tracing under c.Options.
+func (c *Coordinator) Run(job *Job) (*Result, error) {
+	return c.RunWith(job, JobOptions{})
 }
 
-// Run executes a registered job across the cluster. The coordinator also
-// instantiates the job locally for the shuffle's partitioner/comparator.
-func (c *Coordinator) Run(jobName string, params []byte) (*Result, error) {
-	return c.RunWith(jobName, params, c.Options)
-}
-
-// RunWith is Run with explicit per-call options (overriding c.Options).
-func (c *Coordinator) RunWith(jobName string, params []byte, opts JobOptions) (*Result, error) {
-	job, err := LookupJob(jobName, params)
-	if err != nil {
-		return nil, err
+// RunWith implements TracingEngine. A nil opts.Trace falls back to
+// c.Options. Shared-memory workers run job by pointer; TCP workers rebuild
+// it from its registry reference, so a job that has none (it was not built
+// by LookupJob) is refused while any live worker is remote.
+func (c *Coordinator) RunWith(job *Job, opts JobOptions) (*Result, error) {
+	if opts.Trace == nil {
+		opts = c.Options
 	}
 	if err := job.validate(); err != nil {
-		return nil, err
+		return nil, err // before waiting on workers for nothing
 	}
 	c.ensureMonitor()
-	if err := c.waitReady(10 * time.Second); err != nil {
+	if err := c.waitReady(readyTimeout); err != nil {
 		return nil, err
 	}
-	obsJobsRun.Inc()
-	jobSpan := opts.Trace.Child("job:" + jobName)
-	defer jobSpan.End()
-	jobSpan.SetStr("engine", "cluster")
-	jobSpan.SetInt("splits", int64(len(job.Splits)))
-	start := time.Now()
-	res := &Result{}
-	res.Metrics.Job = jobName
-	nred := job.reducers()
+	if job.regName == "" {
+		if w := c.remoteWorker(); w != "" {
+			return nil, fmt.Errorf("mr: job %q has no registry reference (build it with LookupJob): worker %q is in another process and cannot run it", job.Name, w)
+		}
+	}
+	return run(c, job, opts)
+}
 
-	// ---- Map phase (parallel across workers) ----
-	type mapResult struct {
-		id       int
-		parts    [][]Pair
-		stats    []TaskStat
-		counters map[string]int64
-		err      error
-	}
-	mapSpan := jobSpan.Child("map-phase")
-	results := make(chan mapResult, len(job.Splits))
-	for i, split := range job.Splits {
-		go func(i int, split Split) {
-			reply, stats, err := c.runTask(wireTask{
-				Kind: "map", JobName: jobName, Params: params,
-				TaskID: i, Split: split, Reducers: nred,
-			}, mapSpan)
-			results <- mapResult{id: i, parts: reply.Parts, stats: stats, counters: reply.Counters, err: err}
-		}(i, split)
-	}
-	buckets := make([][]Pair, nred)
-	mapOuts := make([][][]Pair, len(job.Splits))
-	var firstErr error
-	for range job.Splits {
-		r := <-results
-		res.Metrics.MapStats = append(res.Metrics.MapStats, r.stats...)
-		if r.err != nil {
-			if firstErr == nil {
-				firstErr = r.err
-			}
-			continue
-		}
-		mapOuts[r.id] = r.parts
-		res.Metrics.addUserCounters(r.counters)
-	}
-	mapSpan.End()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	res.Metrics.MapTasks = len(job.Splits)
-	res.Metrics.MapRetries = countRetries(res.Metrics.MapStats)
-	// Deterministic shuffle: concatenate in split order. Every parts slice
-	// was validated to hold exactly nred partitions.
-	shuffleSpan := jobSpan.Child("shuffle")
-	for _, parts := range mapOuts {
-		for p := 0; p < nred; p++ {
-			buckets[p] = append(buckets[p], parts[p]...)
-			for _, kv := range parts[p] {
-				res.Metrics.ShuffleRecords++
-				res.Metrics.ShuffleBytes += int64(len(kv.Key) + len(kv.Value))
-			}
+// remoteWorker names a live TCP worker, or "" when every live worker
+// shares this process's memory.
+func (c *Coordinator) remoteWorker() string {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, w := range c.workers {
+		if !w.dead && w.local == nil {
+			return w.name
 		}
 	}
-	obsShuffleRecords.Add(res.Metrics.ShuffleRecords)
-	obsShuffleBytes.Add(res.Metrics.ShuffleBytes)
-	for p := range buckets {
-		sortPairs(job, buckets[p])
-	}
-	shuffleSpan.SetInt("records", res.Metrics.ShuffleRecords)
-	shuffleSpan.SetInt("bytes", res.Metrics.ShuffleBytes)
-	shuffleSpan.End()
-
-	// ---- Reduce phase ----
-	res.Partitions = make([][]Pair, nred)
-	if job.Reduce == nil {
-		copy(res.Partitions, buckets)
-	} else {
-		type redResult struct {
-			id       int
-			out      []Pair
-			stats    []TaskStat
-			counters map[string]int64
-			err      error
-		}
-		reduceSpan := jobSpan.Child("reduce-phase")
-		rch := make(chan redResult, nred)
-		for p := 0; p < nred; p++ {
-			go func(p int) {
-				reply, stats, err := c.runTask(wireTask{
-					Kind: "reduce", JobName: jobName, Params: params,
-					TaskID: p, Bucket: buckets[p], Reducers: nred,
-				}, reduceSpan)
-				rch <- redResult{id: p, out: reply.Out, stats: stats, counters: reply.Counters, err: err}
-			}(p)
-		}
-		for i := 0; i < nred; i++ {
-			r := <-rch
-			res.Metrics.ReduceStats = append(res.Metrics.ReduceStats, r.stats...)
-			if r.err != nil {
-				if firstErr == nil {
-					firstErr = r.err
-				}
-				continue
-			}
-			res.Partitions[r.id] = r.out
-			res.Metrics.addUserCounters(r.counters)
-		}
-		reduceSpan.End()
-		if firstErr != nil {
-			return nil, firstErr
-		}
-		res.Metrics.ReduceTasks = nred
-		res.Metrics.ReduceRetries = countRetries(res.Metrics.ReduceStats)
-	}
-	for _, part := range res.Partitions {
-		for _, kv := range part {
-			res.Metrics.OutputRecords++
-			res.Metrics.OutputBytes += int64(len(kv.Key) + len(kv.Value))
-		}
-	}
-	res.Metrics.WallTime = time.Since(start)
-	return res, nil
+	return ""
 }
 
 // waitReady blocks until at least one live worker is connected. Unlike
@@ -1124,7 +938,7 @@ func serveSession(coordinatorAddr, name string, stop <-chan struct{}, opts Worke
 		case chaos.Delay:
 			time.Sleep(act.Sleep)
 		}
-		reply, done := executeWireTask(task)
+		reply, _ := executeTask(&task) // a failure travels as reply.Err
 		buf := appendWireReply(getByteBuf(), &reply)
 		sendMu.Lock()
 		err = fw.write(frameReply, buf)
@@ -1132,71 +946,9 @@ func serveSession(coordinatorAddr, name string, stop <-chan struct{}, opts Worke
 		putByteBuf(buf)
 		// The reply is serialized; no Pair can reference the task's arenas
 		// any more, so their blocks are safe to recycle.
-		done()
+		reply.recycle()
 		if err != nil {
 			return true, &sessionLostError{cause: err}
 		}
 	}
-}
-
-// executeWireTask runs one task attempt on the worker, capturing the
-// attempt's user counters and busy time in the reply so cluster metrics
-// carry the same information as local runs. Emitted records live in
-// pooled arenas; the caller must invoke done once the reply has been
-// serialized (and no Pair in it is referenced any more) so the arena
-// blocks recycle.
-func executeWireTask(task wireTask) (reply wireReply, done func()) {
-	start := time.Now()
-	reply.TaskID = task.TaskID
-	reply.Attempt = task.Attempt
-	counters := NewCounters()
-	arena := &byteArena{}
-	done = arena.release
-	defer func() {
-		if r := recover(); r != nil {
-			reply = wireReply{TaskID: task.TaskID, Attempt: task.Attempt, Err: fmt.Sprintf("panic: %v", r)}
-		}
-		reply.Duration = time.Since(start)
-		obsWorkerTasksExecuted.Inc()
-		obsTaskDurationUS.Observe(reply.Duration.Microseconds())
-	}()
-	job, err := LookupJob(task.JobName, task.Params)
-	if err != nil {
-		reply.Err = err.Error()
-		return reply, done
-	}
-	ctx := TaskContext{TaskID: task.TaskID, Attempt: task.Attempt, Counters: counters}
-	switch task.Kind {
-	case "map":
-		mc := newMapCollector(job, task.Reducers)
-		done = mc.arena.release
-		if err := job.Map(ctx, task.Split, mc.emit); err != nil {
-			reply.Err = err.Error()
-			return reply, done
-		}
-		if job.Combine != nil {
-			for p := range mc.parts {
-				// The combiner sees the same TaskContext (attempt number,
-				// counters) as the map function, matching the Local engine.
-				combined, err := combinePartition(job, ctx, &mc.arena, mc.parts[p])
-				if err != nil {
-					reply.Err = err.Error()
-					return reply, done
-				}
-				mc.parts[p] = combined
-			}
-		}
-		reply.Parts = mc.parts
-	case "reduce":
-		var out []Pair
-		if err := reduceBucket(job, ctx, task.Bucket, emitInto(arena, &out)); err != nil {
-			reply.Err = err.Error()
-			return reply, done
-		}
-		reply.Out = out
-	default:
-		reply.Err = fmt.Sprintf("mr: unknown task kind %q", task.Kind)
-	}
-	reply.Counters = counters.snapshot()
-	return reply, done
 }

@@ -101,7 +101,7 @@ func localRunOf(t *testing.T, jobName string, params []byte) *Result {
 func TestClusterCountersMatchLocal(t *testing.T) {
 	c := startCluster(t, 2)
 	params := MustGobEncode(faultJobParams{Texts: []string{"a b a", "c c", "a d e"}})
-	clusterRes, err := c.Run("fault-count", params)
+	clusterRes, err := runRegistered(c, "fault-count", params)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestClusterWorkerKilledMidMapAndMidReduce(t *testing.T) {
 		Texts:    []string{"a a", "b c", "d d d", "e"},
 		MapDelay: 10 * time.Millisecond,
 	})
-	res, err := c.Run("fault-count", params)
+	res, err := runRegistered(c, "fault-count", params)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +221,11 @@ func TestClusterCrashMidMapCounterDeltas(t *testing.T) {
 		Texts:    []string{"a a", "b c", "d d d"},
 		MapDelay: 10 * time.Millisecond,
 	})
-	res, err := c.RunWith("fault-count", params, JobOptions{Trace: root})
+	job, err := LookupJob("fault-count", params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := c.RunWith(job, JobOptions{Trace: root})
 	root.End()
 	if err != nil {
 		t.Fatal(err)
@@ -293,7 +297,7 @@ func TestClusterHeartbeatDetectsSilentWorker(t *testing.T) {
 
 	params := MustGobEncode(faultJobParams{Texts: []string{"x x", "y z"}})
 	start := time.Now()
-	res, err := c.Run("fault-count", params)
+	res, err := runRegistered(c, "fault-count", params)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,13 +349,13 @@ func shortPartsWorker(t *testing.T, addr string, stop <-chan struct{}) {
 		if task.Kind == "shutdown" {
 			return
 		}
-		reply, done := executeWireTask(task)
+		reply, _ := executeTask(&task)
 		if !truncated && task.Kind == "map" && len(reply.Parts) > 1 {
 			reply.Parts = reply.Parts[:1]
 			truncated = true
 		}
 		err = fw.write(frameReply, appendWireReply(nil, &reply))
-		done()
+		reply.recycle()
 		if err != nil {
 			return
 		}
@@ -372,7 +376,7 @@ func TestClusterShortMapOutputIsRetried(t *testing.T) {
 	}
 
 	params := MustGobEncode(faultJobParams{Texts: []string{"a b c d e f g h"}})
-	res, err := c.Run("fault-count", params)
+	res, err := runRegistered(c, "fault-count", params)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -399,7 +403,7 @@ func TestClusterCombinerSeesAttempt(t *testing.T) {
 	combinerAttempts.Store(0)
 	c := startCluster(t, 1)
 	params := MustGobEncode([]string{"m m n", "n n"})
-	res, err := c.Run("fault-combiner", params)
+	res, err := runRegistered(c, "fault-combiner", params)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -428,7 +432,7 @@ func TestClusterSpeculativeBackupCommits(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	res, err := c.Run("fault-straggler", MustGobEncode([]string{"p p", "q"}))
+	res, err := runRegistered(c, "fault-straggler", MustGobEncode([]string{"p p", "q"}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -471,7 +475,7 @@ func TestClusterMetricsAggregationUnderConcurrentCompletions(t *testing.T) {
 		MapDelay:    time.Millisecond,
 		ReduceDelay: time.Millisecond,
 	})
-	res, err := c.Run("fault-count", params)
+	res, err := runRegistered(c, "fault-count", params)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -510,7 +514,7 @@ func TestClusterGracefulShutdown(t *testing.T) {
 	if err := c.WaitForWorkers(2, 5*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Run("tcp-wordcount", MustGobEncode([]string{"a b", "c"})); err != nil {
+	if _, err := runRegistered(c, "tcp-wordcount", MustGobEncode([]string{"a b", "c"})); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Close(); err != nil {
@@ -529,7 +533,7 @@ func TestClusterGracefulShutdown(t *testing.T) {
 	if err := c.Close(); err != nil {
 		t.Fatalf("second close: %v", err)
 	}
-	if _, err := c.Run("tcp-wordcount", MustGobEncode([]string{"a"})); err == nil {
+	if _, err := runRegistered(c, "tcp-wordcount", MustGobEncode([]string{"a"})); err == nil {
 		t.Fatal("run succeeded on a closed coordinator")
 	}
 }
@@ -569,7 +573,7 @@ func TestClusterLivenessPollingDuringRun(t *testing.T) {
 		Texts:    []string{"a a", "b", "c c c", "d", "e e", "f", "g g", "h"},
 		MapDelay: 5 * time.Millisecond,
 	})
-	res, err := c.Run("fault-count", params)
+	res, err := runRegistered(c, "fault-count", params)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -622,7 +626,7 @@ func TestClusterWorkerDeathIsRaceFree(t *testing.T) {
 		Texts:    []string{"a a", "b", "c c c", "d", "e e", "f", "g g", "h"},
 		MapDelay: 5 * time.Millisecond,
 	})
-	res, err := c.Run("fault-count", params)
+	res, err := runRegistered(c, "fault-count", params)
 	if err != nil {
 		t.Fatal(err)
 	}

