@@ -6,10 +6,10 @@ import (
 )
 
 // Warm cache of decoded shards. A node answers queries from ready
-// (synopsis, evaluator, handler) triples; decoding a shard file and
-// building its evaluator is the expensive step, so owned shards are
-// preloaded at startup (Node.Warm) and everything else is filled on
-// first query and evicted LRU. The cache is also the degradation
+// views (synopsis, evaluator, guarantee, identity); decoding a shard
+// file and building its evaluator is the expensive step, so owned
+// shards are preloaded at startup (Node.Warm) and everything else is
+// filled on first query and evicted LRU. The cache is also the degradation
 // ladder's inventory: under overload a node answers from the coarsest
 // warm sibling of the requested shard instead of shedding (see
 // shardCache.coarser).
@@ -22,13 +22,13 @@ import (
 // therefore never evict the shards this node is actually responsible
 // for — pollution is bounded by construction, not by luck.
 
-// cacheEntry is one warm shard: the per-shard query server node.answer
-// dispatches into. srv carries the shard's identity so /info answers
-// honestly through the router.
+// cacheEntry is one warm shard: the view a node's queries are answered
+// against. The view carries the node, the shard and the node's ring
+// role for it at build time, so /info answers honestly through the
+// router and the post-commit audit can spot a stale role.
 type cacheEntry struct {
-	key    ShardKey
-	srv    *Server
-	maxAbs float64
+	key  ShardKey
+	view *view
 }
 
 // cacheSlot wraps an entry with the segment it lives in, so put can

@@ -1,11 +1,14 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -129,15 +132,25 @@ func getBody(t *testing.T, url string) (int, http.Header, []byte) {
 }
 
 // TestClusterRoutesToRingOwners: every query lands on the shard's ring
-// primary, answers match a standalone server byte for byte, and no node
-// ever serves a shard it does not own.
+// primary, answers — and the 400s of badQueries — match a standalone
+// server's status and body byte for byte, on guaranteed shards and on
+// one without a guarantee, and no node ever serves a shard it does not
+// own.
 func TestClusterRoutesToRingOwners(t *testing.T) {
 	dir := writeClusterStore(t)
+	syn, _, err := greedy.SynopsisAbs(paperData, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteShard(dir, ShardKey{Dataset: "unguaranteed", B: 4, Metric: "abs"}, syn, 0); err != nil {
+		t.Fatal(err)
+	}
 	names := []string{"n1", "n2", "n3"}
 	tc := startCluster(t, dir, names, 1, nil, nil)
 	notOwned := obsShardNotOwned.Value()
 
-	for _, ds := range []string{"paper", "alpha", "bravo", "charlie"} {
+	queries := append([]string{"/point?i=3", "/range?lo=1&hi=6", "/coefficients"}, badQueries...)
+	for _, ds := range []string{"paper", "alpha", "bravo", "charlie", "unguaranteed"} {
 		key := ShardKey{Dataset: ds, B: 4, Metric: "abs"}
 		sh, err := DirStore{Dir: dir}.Load(key)
 		if err != nil {
@@ -148,24 +161,21 @@ func TestClusterRoutesToRingOwners(t *testing.T) {
 			t.Fatal(err)
 		}
 		ref := httptest.NewServer(direct)
-		for _, q := range []string{"/point?i=3", "/range?lo=1&hi=6", "/coefficients"} {
-			sep := "&"
-			if q == "/coefficients" {
-				sep = "?"
+		for _, q := range queries {
+			sep := "?"
+			if strings.Contains(q, "?") {
+				sep = "&"
 			}
 			status, hdr, body := getBody(t, tc.http.URL+q+sep+"dataset="+ds)
-			if status != http.StatusOK {
-				t.Fatalf("%s dataset=%s: status %d: %s", q, ds, status, body)
-			}
 			if want := tc.ring.Owner(key); hdr.Get("X-Dwserve-Node") != want {
 				t.Errorf("%s dataset=%s answered by %q, ring owner is %q", q, ds, hdr.Get("X-Dwserve-Node"), want)
 			}
 			if role := hdr.Get("X-Dwserve-Role"); role != "primary" {
 				t.Errorf("%s dataset=%s role %q, want primary", q, ds, role)
 			}
-			_, _, want := getBody(t, ref.URL+q)
-			if string(body) != string(want) {
-				t.Errorf("%s dataset=%s: cluster answer %s != standalone %s", q, ds, body, want)
+			wantStatus, _, want := getBody(t, ref.URL+q)
+			if status != wantStatus || string(body) != string(want) {
+				t.Errorf("%s dataset=%s: cluster answered %d %q, standalone %d %q", q, ds, status, body, wantStatus, want)
 			}
 		}
 		ref.Close()
@@ -217,27 +227,29 @@ func TestClusterInfoReportsShardIdentity(t *testing.T) {
 // TestClusterDegradesToCoarserSynopsis: with the node's single
 // in-flight slot held by a stalled query, a concurrent query for
 // paper/b4 is answered from the warm b2 synopsis (degraded, 200) and a
-// query with no coarser sibling is shed with an honest 503. Two raw
-// peer connections drive the node, since a router serializes exchanges
-// per link.
+// query with no coarser sibling is shed with an honest 503 whose body is
+// JSON even though the node's name needs escaping. Two raw peer
+// connections drive the node, since a router serializes exchanges per
+// link.
 func TestClusterDegradesToCoarserSynopsis(t *testing.T) {
 	if err := chaos.EnableSpec("3,serve.replica:delay=600ms#1"); err != nil {
 		t.Fatal(err)
 	}
 	defer chaos.Disable()
+	const name = `so"lo`
 	dir := writeClusterStore(t)
-	tc := startCluster(t, dir, []string{"solo"}, 1, func(cfg *NodeConfig) {
+	tc := startCluster(t, dir, []string{name}, 1, func(cfg *NodeConfig) {
 		cfg.MaxInFlight = 1
 	}, nil)
 	degraded := obsShardDegraded.Value()
 	shed := obsShardShed.Value()
 
-	c1, err := mr.DialPeer(tc.addrs["solo"], time.Second, "")
+	c1, err := mr.DialPeer(tc.addrs[name], time.Second, "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c1.Close()
-	c2, err := mr.DialPeer(tc.addrs["solo"], time.Second, "")
+	c2, err := mr.DialPeer(tc.addrs[name], time.Second, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,9 +281,11 @@ func TestClusterDegradesToCoarserSynopsis(t *testing.T) {
 		t.Fatalf("degraded query: status %d degradedB %d, want 200 with fallback to 2", rep.Status, rep.DegradedB)
 	}
 	alpha := shardRequest{Key: ShardKey{Dataset: "alpha", B: 4, Metric: "abs"}, Path: "/point", RawQuery: "i=0"}
-	if rep := ask(c2, alpha); rep.Status != http.StatusServiceUnavailable {
+	rep = ask(c2, alpha)
+	if rep.Status != http.StatusServiceUnavailable {
 		t.Fatalf("no-coarser query: status %d, want 503 shed", rep.Status)
 	}
+	checkErrorBody(t, rep.Body, name)
 	typ, raw, err := c1.Recv()
 	if err != nil || typ != frameShardReply {
 		t.Fatalf("stalled query: typ %d, err %v", typ, err)
@@ -284,6 +298,40 @@ func TestClusterDegradesToCoarserSynopsis(t *testing.T) {
 	}
 	if d := obsShardShed.Value() - shed; d != 1 {
 		t.Errorf("serve_shard_shed_total grew by %d, want 1", d)
+	}
+}
+
+// failingStore holds no shards and fails every load with err.
+type failingStore struct{ err error }
+
+func (s failingStore) Load(ShardKey) (*Shard, error) { return nil, s.err }
+func (s failingStore) Keys() ([]ShardKey, error)     { return nil, nil }
+
+// TestClusterStoreMissBodyIsJSON: a shard the store cannot load answers
+// 404 through the router with a JSON error body, whatever bytes the
+// store's error carries.
+func TestClusterStoreMissBodyIsJSON(t *testing.T) {
+	loadErr := errors.New("shard \"paper\" unreadable: \x01")
+	tc := startCluster(t, t.TempDir(), []string{"n1"}, 1, func(cfg *NodeConfig) {
+		cfg.Store = failingStore{loadErr}
+	}, nil)
+	status, _, body := getBody(t, tc.http.URL+"/point?i=0")
+	if status != http.StatusNotFound {
+		t.Fatalf("status %d, want 404: %s", status, body)
+	}
+	checkErrorBody(t, body, loadErr.Error())
+}
+
+// checkErrorBody asserts body is a newline-terminated JSON error object
+// whose message contains want.
+func checkErrorBody(t *testing.T, body []byte, want string) {
+	t.Helper()
+	var e errorBody
+	if err := json.Unmarshal(body, &e); err != nil {
+		t.Fatalf("error body %q is not JSON: %v", body, err)
+	}
+	if !strings.Contains(e.Error, want) || !bytes.HasSuffix(body, []byte("\n")) {
+		t.Fatalf("error body %q: want a newline-terminated error containing %q", body, want)
 	}
 }
 

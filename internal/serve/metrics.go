@@ -3,9 +3,9 @@ package serve
 import "dwmaxerr/internal/obs"
 
 // Query-serving metrics (serve_* prefix), the package's full namespace in
-// one place (enforced by dwlint's metricname analyzer). Counted at the
-// handler, not in the mux, so only recognized endpoints contribute; bad
-// requests are counted once per rejected query in httpError.
+// one place (enforced by dwlint's metricname analyzer). parseQuery
+// counts queries, so only recognized endpoints contribute; bad requests
+// are counted once per rejected query, in httpError or badRequest.
 var (
 	obsInfoQueries  = obs.Default.Counter("serve_info_queries")
 	obsPointQueries = obs.Default.Counter("serve_point_queries")

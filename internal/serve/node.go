@@ -1,11 +1,9 @@
 package serve
 
 import (
-	"bytes"
 	"fmt"
 	"net"
 	"net/http"
-	"net/url"
 	"strconv"
 	"sync"
 	"time"
@@ -219,21 +217,21 @@ func (n *Node) entry(k ShardKey, stray bool) (*cacheEntry, error) {
 }
 
 // build loads and decodes a shard into a fresh cache entry, stamping
-// the per-shard server with this node's role for it under the given
-// ring — the current one on the query path, the proposed one when the
-// rebalancer warms ahead of a cutover.
+// its view with this node's role for it under the given ring — the
+// current one on the query path, the proposed one when the rebalancer
+// warms ahead of a cutover.
 func (n *Node) build(k ShardKey, ring *Ring) (*cacheEntry, error) {
 	sh, err := n.cfg.Store.Load(k)
 	if err != nil {
 		return nil, err
 	}
-	srv, err := New(sh.Syn, sh.MaxAbs)
+	v, err := newView(sh.Syn, sh.MaxAbs)
 	if err != nil {
 		return nil, err
 	}
-	role, _ := ringRole(ring, n.cfg.Name, k, n.cfg.Replicas)
-	srv.node, srv.shard, srv.role = n.cfg.Name, k.String(), role
-	return &cacheEntry{key: k, srv: srv, maxAbs: sh.MaxAbs}, nil
+	v.node, v.shard = n.cfg.Name, k.String()
+	v.role, _ = ringRole(ring, n.cfg.Name, k, n.cfg.Replicas)
+	return &cacheEntry{key: k, view: v}, nil
 }
 
 // Serve accepts router connections on ln until the node is closed (or
@@ -297,7 +295,7 @@ func (n *Node) handleConn(conn net.Conn) {
 			if err != nil {
 				return
 			}
-			rep, err := n.answer(req)
+			rep, err := n.reply(req)
 			if err != nil {
 				// The failpoint killed the node mid-query; the connection
 				// dies with it and the router sees a mid-exchange failure —
@@ -477,7 +475,7 @@ func (n *Node) commit(epoch int64) epochCtl {
 			if !owned {
 				continue
 			}
-			if e, ok := n.cache.peek(k); ok && e.srv.role == role {
+			if e, ok := n.cache.peek(k); ok && e.view.role == role {
 				continue
 			}
 			// Owned but cold (prepare raced an eviction, or this commit is
@@ -494,9 +492,9 @@ func (n *Node) commit(epoch int64) epochCtl {
 	return epochCtl{Kind: epochCtlAck, Mem: Membership{Epoch: epoch}, Count: int64(evicted)}
 }
 
-// answer resolves one shard query. A non-nil error means the node was
+// reply resolves one shard query. A non-nil error means the node was
 // killed by chaos and the connection must drop without a reply.
-func (n *Node) answer(req shardRequest) (shardReply, error) {
+func (n *Node) reply(req shardRequest) (shardReply, error) {
 	// The failpoint fires before any accounting: a query that kills its
 	// replica was never answered, so it must not count as one.
 	act := chaos.Point(n.chaosPoint)
@@ -544,13 +542,14 @@ func (n *Node) answer(req shardRequest) (shardReply, error) {
 			if ent, ok := n.cache.coarser(req.Key); ok {
 				obsShardDegraded.Inc()
 				rep.DegradedB = ent.key.B
-				n.dispatch(&rep, ent, req)
+				status, body := respond(ent.view, req.Path, req.RawQuery)
+				rep.Status, rep.Body = status, encodeJSON(body)
 				return rep, nil
 			}
 			obsShardShed.Inc()
 			rep.Status = http.StatusServiceUnavailable
-			rep.Body = []byte(fmt.Sprintf(
-				`{"error":"serve: node %s overloaded, no coarser synopsis warm"}`, n.cfg.Name))
+			rep.Body = encodeJSON(errorBody{fmt.Sprintf(
+				"serve: node %s overloaded, no coarser synopsis warm", n.cfg.Name)})
 			return rep, nil
 		}
 	}
@@ -561,25 +560,12 @@ func (n *Node) answer(req shardRequest) (shardReply, error) {
 	}
 	ent, err := n.entry(req.Key, !owned)
 	if err != nil {
-		rep.Status = http.StatusNotFound
-		rep.Body = []byte(fmt.Sprintf(`{"error":%q}`, err.Error()))
+		rep.Status, rep.Body = http.StatusNotFound, encodeJSON(errorBody{err.Error()})
 		return rep, nil
 	}
-	n.dispatch(&rep, ent, req)
+	status, body := respond(ent.view, req.Path, req.RawQuery)
+	rep.Status, rep.Body = status, encodeJSON(body)
 	return rep, nil
-}
-
-// dispatch replays the query against the entry's per-shard server and
-// captures the HTTP answer into the reply.
-func (n *Node) dispatch(rep *shardReply, ent *cacheEntry, req shardRequest) {
-	w := &memResponse{}
-	r := &http.Request{
-		Method: http.MethodGet,
-		URL:    &url.URL{Path: req.Path, RawQuery: req.RawQuery},
-	}
-	ent.srv.mux.ServeHTTP(w, r)
-	rep.Status = w.status()
-	rep.Body = w.body.Bytes()
 }
 
 // die kills the node: listener, every live connection, and the
@@ -617,38 +603,4 @@ func (n *Node) Close() error {
 	n.die()
 	n.wg.Wait()
 	return nil
-}
-
-// memResponse captures a per-shard handler's answer in memory.
-type memResponse struct {
-	hdr  http.Header
-	code int
-	body bytes.Buffer
-}
-
-func (m *memResponse) Header() http.Header {
-	if m.hdr == nil {
-		m.hdr = make(http.Header)
-	}
-	return m.hdr
-}
-
-func (m *memResponse) WriteHeader(code int) {
-	if m.code == 0 {
-		m.code = code
-	}
-}
-
-func (m *memResponse) Write(b []byte) (int, error) {
-	if m.code == 0 {
-		m.code = http.StatusOK
-	}
-	return m.body.Write(b)
-}
-
-func (m *memResponse) status() int {
-	if m.code == 0 {
-		return http.StatusOK
-	}
-	return m.code
 }

@@ -435,8 +435,8 @@ func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	case "/admin/membership":
 		rt.adminMembership(w, r)
 		return
-	case "/info", "/point", "/range", "/coefficients":
-	default:
+	}
+	if _, ok := queryEndpoints[r.URL.Path]; !ok {
 		httpError(w, http.StatusNotFound, fmt.Errorf("serve: unknown endpoint %q", r.URL.Path))
 		return
 	}
@@ -515,7 +515,7 @@ func (rt *Router) adminJoin(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusConflict, err)
 		return
 	}
-	writeJSON(w, mem)
+	writeJSON(w, http.StatusOK, mem)
 }
 
 // adminDrain handles POST /admin/drain?name=N.
@@ -529,12 +529,12 @@ func (rt *Router) adminDrain(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusConflict, err)
 		return
 	}
-	writeJSON(w, mem)
+	writeJSON(w, http.StatusOK, mem)
 }
 
 // adminMembership handles GET /admin/membership.
 func (rt *Router) adminMembership(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, rt.Membership())
+	writeJSON(w, http.StatusOK, rt.Membership())
 }
 
 // writeShardReply relays a node's answer, stamping the answering

@@ -19,23 +19,41 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/url"
 	"strconv"
 	"time"
 
 	"dwmaxerr/internal/ingest"
+	"dwmaxerr/internal/obs"
 	"dwmaxerr/internal/synopsis"
 )
 
-// view is one immutable synopsis a request is answered against: the
-// static one, or the ingestor's current snapshot.
+// view is one immutable synopsis a query is answered against, with
+// everything /info reports about it: the static synopsis, the
+// ingestor's current snapshot, or a node's cached shard.
 type view struct {
-	syn *synopsis.Synopsis
-	ev  *synopsis.Evaluator
-	// window is non-nil on streaming servers: the snapshot's position.
+	syn    *synopsis.Synopsis
+	ev     *synopsis.Evaluator
+	maxAbs float64 // per-value guarantee; 0 when unknown
+	// window is non-nil on streaming servers: the snapshot's position,
+	// with ing the ingestor whose stream totals /info reports.
 	window *ingest.Snapshot
+	ing    *ingest.Ingestor
+	// Identity in the sharded tier, set on a node's cached shards so
+	// /info reports who answered even through the router. Empty on
+	// standalone servers (and omitted from the JSON).
+	node, shard, role string
+}
+
+func newView(s *synopsis.Synopsis, maxAbs float64) (*view, error) {
+	if s == nil || s.N < 1 {
+		return nil, fmt.Errorf("serve: nil or empty synopsis")
+	}
+	return &view{syn: s, ev: synopsis.NewEvaluator(s), maxAbs: maxAbs}, nil
 }
 
 // Server answers approximate queries against one synopsis — fixed at
@@ -43,30 +61,19 @@ type view struct {
 type Server struct {
 	static *view            // non-nil for New-built servers
 	ing    *ingest.Ingestor // non-nil for NewIngest-built servers
-	maxAbs float64          // per-value guarantee; 0 when unknown
 	mux    *http.ServeMux
 	gate   *gate // non-nil when built by NewLimited / NewIngest
-
-	// Identity in the sharded tier, set by node.go on per-shard servers
-	// so /info reports who answered even through the router. Empty on
-	// standalone servers (and omitted from the JSON).
-	node  string
-	shard string
-	role  string
 }
 
 // New builds a server over a synopsis with the given per-value maximum
 // absolute error guarantee (pass 0 if the synopsis carries no guarantee,
 // e.g. a conventional one; intervals are then omitted).
 func New(s *synopsis.Synopsis, maxAbs float64) (*Server, error) {
-	if s == nil || s.N < 1 {
-		return nil, fmt.Errorf("serve: nil or empty synopsis")
+	v, err := newView(s, maxAbs)
+	if err != nil {
+		return nil, err
 	}
-	srv := &Server{
-		static: &view{syn: s, ev: synopsis.NewEvaluator(s)},
-		maxAbs: maxAbs,
-		mux:    http.NewServeMux(),
-	}
+	srv := &Server{static: v}
 	srv.routes()
 	return srv, nil
 }
@@ -80,7 +87,7 @@ func NewIngest(ing *ingest.Ingestor, lim Limits) (*Server, error) {
 	if ing == nil {
 		return nil, fmt.Errorf("serve: nil ingestor")
 	}
-	srv := &Server{ing: ing, mux: http.NewServeMux()}
+	srv := &Server{ing: ing}
 	srv.routes()
 	srv.mux.HandleFunc("/ingest", srv.handleIngest)
 	srv.gate = newGate(srv.mux, lim)
@@ -88,23 +95,10 @@ func NewIngest(ing *ingest.Ingestor, lim Limits) (*Server, error) {
 }
 
 func (s *Server) routes() {
-	s.mux.HandleFunc("/info", s.handleInfo)
-	s.mux.HandleFunc("/point", s.handlePoint)
-	s.mux.HandleFunc("/range", s.handleRange)
-	s.mux.HandleFunc("/coefficients", s.handleCoefficients)
-}
-
-// current resolves the view a request answers against. ok is false on a
-// streaming server whose first block has not completed yet.
-func (s *Server) current() (*view, bool) {
-	if s.static != nil {
-		return s.static, true
+	s.mux = http.NewServeMux()
+	for path := range queryEndpoints {
+		s.mux.HandleFunc(path, s.handleQuery)
 	}
-	snap := s.ing.Snapshot()
-	if snap == nil {
-		return nil, false
-	}
-	return &view{syn: snap.Syn, ev: snap.Ev, window: snap}, true
 }
 
 // notReady answers a query that arrived before the first snapshot. The
@@ -122,15 +116,6 @@ func notReady(w http.ResponseWriter, hint time.Duration) {
 	w.Header().Set("Retry-After", strconv.Itoa(secs))
 	httpError(w, http.StatusServiceUnavailable,
 		fmt.Errorf("serve: synopsis warming up, no complete block yet"))
-}
-
-// warmupHint estimates how long until this server can answer; 0 when
-// unknown (static servers are never not-ready).
-func (s *Server) warmupHint() time.Duration {
-	if s.ing == nil {
-		return 0
-	}
-	return s.ing.EstimateWarmup()
 }
 
 // ServeHTTP implements http.Handler.
@@ -198,105 +183,144 @@ type IngestAnswer struct {
 	Epoch    int64 `json:"epoch"`
 }
 
-func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) {
-	obsInfoQueries.Inc()
-	v, ok := s.current()
-	if !ok {
-		notReady(w, s.warmupHint())
-		return
-	}
-	info := Info{
-		N:           v.syn.N,
-		Terms:       v.syn.Size(),
-		MaxAbsError: s.maxAbs,
-		Guaranteed:  s.maxAbs > 0,
-		Node:        s.node,
-		Shard:       s.shard,
-		Role:        s.role,
-	}
-	if v.window != nil {
-		info.Ingest = true
-		info.Epoch = v.window.Epoch
-		info.WindowStart = v.window.Start
-		info.Seen = s.ing.Seen()
-		info.Durable = s.ing.Durable()
-	}
-	writeJSON(w, info)
+// queryKind names one endpoint of the query API.
+type queryKind int
+
+const (
+	infoQuery queryKind = iota
+	pointQuery
+	rangeQuery
+	coefficientsQuery
+)
+
+// queryEndpoints is the query API: the paths a server's mux registers,
+// a node parses and the router forwards, each with the counter its
+// queries move.
+var queryEndpoints = map[string]struct {
+	kind    queryKind
+	queries *obs.Counter
+}{
+	"/info":         {infoQuery, obsInfoQueries},
+	"/point":        {pointQuery, obsPointQueries},
+	"/range":        {rangeQuery, obsRangeQueries},
+	"/coefficients": {coefficientsQuery, obsCoefQueries},
 }
 
-func (s *Server) handlePoint(w http.ResponseWriter, r *http.Request) {
-	obsPointQueries.Inc()
-	v, ok := s.current()
-	if !ok {
-		notReady(w, s.warmupHint())
-		return
-	}
-	i, err := intParam(r, "i")
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	if i < 0 || i >= v.syn.N {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("index %d out of [0,%d)", i, v.syn.N))
-		return
-	}
-	ans := PointAnswer{Index: i, Approx: v.ev.Point(i)}
-	if s.maxAbs > 0 {
-		b := v.ev.PointBound(i, s.maxAbs)
-		lo, hi := b.Lo(), b.Hi()
-		ans.Lo, ans.Hi = &lo, &hi
-	}
-	writeJSON(w, ans)
+type query struct {
+	kind   queryKind
+	i      int // /point
+	lo, hi int // /range, inclusive
 }
 
-func (s *Server) handleRange(w http.ResponseWriter, r *http.Request) {
-	obsRangeQueries.Inc()
-	v, ok := s.current()
+// parseQuery turns a request path and its raw query string into a
+// query, counting it toward its endpoint. Parameters are checked for
+// syntax here and against the synopsis in answer.
+func parseQuery(path, rawQuery string) (query, error) {
+	ep, ok := queryEndpoints[path]
 	if !ok {
-		notReady(w, s.warmupHint())
-		return
+		return query{}, fmt.Errorf("serve: unknown endpoint %q", path)
 	}
-	lo, err := intParam(r, "lo")
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
+	ep.queries.Inc()
+	q := query{kind: ep.kind}
+	vals, _ := url.ParseQuery(rawQuery) // malformed pairs dropped, as url.URL.Query does
+	var err error
+	switch q.kind {
+	case pointQuery:
+		q.i, err = intParam(vals, "i")
+	case rangeQuery:
+		if q.lo, err = intParam(vals, "lo"); err == nil {
+			q.hi, err = intParam(vals, "hi")
+		}
 	}
-	hi, err := intParam(r, "hi")
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	if lo < 0 || hi >= v.syn.N || lo > hi {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("range [%d,%d] out of [0,%d)", lo, hi, v.syn.N))
-		return
-	}
-	sum := v.ev.RangeSum(lo, hi)
-	count := hi - lo + 1
-	ans := RangeAnswer{Lo: lo, Hi: hi, Sum: sum, Avg: sum / float64(count), Count: count, Guarantee: s.maxAbs}
-	if s.maxAbs > 0 {
-		b := v.ev.RangeSumBound(lo, hi, s.maxAbs)
-		sl, sh := b.Lo(), b.Hi()
-		ans.SumLo, ans.SumHi = &sl, &sh
-	}
-	writeJSON(w, ans)
+	return q, err
 }
 
-func (s *Server) handleCoefficients(w http.ResponseWriter, r *http.Request) {
-	obsCoefQueries.Inc()
-	v, ok := s.current()
-	if !ok {
-		notReady(w, s.warmupHint())
-		return
+// respond answers a request to the query API from v: what a server's
+// handler writes and a node ships in its shard reply. An unknown path,
+// which only a node can be sent, is a 400.
+func respond(v *view, path, rawQuery string) (int, any) {
+	q, err := parseQuery(path, rawQuery)
+	if err != nil {
+		return badRequest(err)
 	}
-	type term struct {
-		Index int     `json:"index"`
-		Value float64 `json:"value"`
+	return answer(v, q)
+}
+
+// answer evaluates q against v, returning the status and the value to
+// encode as the JSON body.
+func answer(v *view, q query) (int, any) {
+	n := v.syn.N
+	switch q.kind {
+	case infoQuery:
+		info := Info{
+			N:           n,
+			Terms:       v.syn.Size(),
+			MaxAbsError: v.maxAbs,
+			Guaranteed:  v.maxAbs > 0,
+			Node:        v.node,
+			Shard:       v.shard,
+			Role:        v.role,
+		}
+		if v.window != nil {
+			info.Ingest = true
+			info.Epoch = v.window.Epoch
+			info.WindowStart = v.window.Start
+			info.Seen = v.ing.Seen()
+			info.Durable = v.ing.Durable()
+		}
+		return http.StatusOK, info
+	case pointQuery:
+		if q.i < 0 || q.i >= n {
+			return badRequest(fmt.Errorf("index %d out of [0,%d)", q.i, n))
+		}
+		ans := PointAnswer{Index: q.i, Approx: v.ev.Point(q.i)}
+		if v.maxAbs > 0 {
+			b := v.ev.PointBound(q.i, v.maxAbs)
+			lo, hi := b.Lo(), b.Hi()
+			ans.Lo, ans.Hi = &lo, &hi
+		}
+		return http.StatusOK, ans
+	case rangeQuery:
+		lo, hi := q.lo, q.hi
+		if lo < 0 || hi >= n || lo > hi {
+			return badRequest(fmt.Errorf("range [%d,%d] out of [0,%d)", lo, hi, n))
+		}
+		sum := v.ev.RangeSum(lo, hi)
+		count := hi - lo + 1
+		ans := RangeAnswer{Lo: lo, Hi: hi, Sum: sum, Avg: sum / float64(count), Count: count, Guarantee: v.maxAbs}
+		if v.maxAbs > 0 {
+			b := v.ev.RangeSumBound(lo, hi, v.maxAbs)
+			sl, sh := b.Lo(), b.Hi()
+			ans.SumLo, ans.SumHi = &sl, &sh
+		}
+		return http.StatusOK, ans
+	default: // coefficientsQuery
+		type term struct {
+			Index int     `json:"index"`
+			Value float64 `json:"value"`
+		}
+		out := make([]term, 0, v.syn.Size())
+		for _, t := range v.syn.Terms {
+			out = append(out, term{t.Index, t.Value})
+		}
+		return http.StatusOK, out
 	}
-	out := make([]term, 0, v.syn.Size())
-	for _, t := range v.syn.Terms {
-		out = append(out, term{t.Index, t.Value})
+}
+
+// handleQuery answers from the static synopsis, or from the ingestor's
+// snapshot of the moment on a streaming server.
+func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
+	v := s.static
+	if v == nil {
+		snap := s.ing.Snapshot()
+		if snap == nil {
+			notReady(w, s.ing.EstimateWarmup())
+			return
+		}
+		v = &view{syn: snap.Syn, ev: snap.Ev, window: snap, ing: s.ing}
 	}
-	writeJSON(w, out)
+	status, body := respond(v, r.URL.Path, r.URL.RawQuery)
+	writeJSON(w, status, body)
 }
 
 // handleIngest appends stream values. With ?sync=1 the response is not
@@ -321,7 +345,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 			// Partial acceptance is the honest answer: `accepted` tells the
 			// producer exactly where to resume, mirroring Durable's contract.
 			obsIngestErrors.Inc()
-			writeJSON2(w, http.StatusServiceUnavailable, IngestAnswer{
+			writeJSON(w, http.StatusServiceUnavailable, IngestAnswer{
 				Accepted: accepted,
 				Seen:     s.ing.Seen(),
 				Durable:  s.ing.Durable(),
@@ -335,7 +359,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if r.URL.Query().Get("sync") == "1" {
 		s.ing.Sync()
 	}
-	writeJSON(w, IngestAnswer{
+	writeJSON(w, http.StatusOK, IngestAnswer{
 		Accepted: accepted,
 		Seen:     s.ing.Seen(),
 		Durable:  s.ing.Durable(),
@@ -350,8 +374,8 @@ func snapshotEpoch(ing *ingest.Ingestor) int64 {
 	return 0
 }
 
-func intParam(r *http.Request, name string) (int, error) {
-	raw := r.URL.Query().Get(name)
+func intParam(vals url.Values, name string) (int, error) {
+	raw := vals.Get(name)
 	if raw == "" {
 		return 0, fmt.Errorf("missing parameter %q", name)
 	}
@@ -362,23 +386,35 @@ func intParam(r *http.Request, name string) (int, error) {
 	return v, nil
 }
 
-func writeJSON(w http.ResponseWriter, v interface{}) {
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(v)
+// errorBody is the JSON body of every error answer.
+type errorBody struct {
+	Error string `json:"error"`
 }
 
-// writeJSON2 is writeJSON with an explicit status code.
-func writeJSON2(w http.ResponseWriter, code int, v interface{}) {
+func badRequest(err error) (int, any) {
+	obsBadRequests.Inc()
+	return http.StatusBadRequest, errorBody{err.Error()}
+}
+
+// encodeJSON renders v as json.Encoder writes it, trailing newline
+// included: the body bytes of every answer, whether written over HTTP
+// or carried in a shard reply. A value JSON cannot represent encodes to
+// nothing.
+func encodeJSON(v any) []byte {
+	var b bytes.Buffer
+	json.NewEncoder(&b).Encode(v)
+	return b.Bytes()
+}
+
+func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(v)
+	w.Write(encodeJSON(v))
 }
 
 func httpError(w http.ResponseWriter, code int, err error) {
 	if code == http.StatusBadRequest {
 		obsBadRequests.Inc()
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})
+	writeJSON(w, code, errorBody{err.Error()})
 }

@@ -100,12 +100,16 @@ func TestCoefficientsEndpoint(t *testing.T) {
 	}
 }
 
+// badQueries are requests every server answers 400, standalone or
+// through the router (TestClusterRoutesToRingOwners).
+var badQueries = []string{
+	"/point", "/point?i=abc", "/point?i=-1", "/point?i=99",
+	"/range?lo=1", "/range?lo=5&hi=2", "/range?lo=0&hi=100",
+}
+
 func TestBadRequests(t *testing.T) {
 	ts, _, _ := testServer(t)
-	for _, path := range []string{
-		"/point", "/point?i=abc", "/point?i=-1", "/point?i=99",
-		"/range?lo=1", "/range?lo=5&hi=2", "/range?lo=0&hi=100",
-	} {
+	for _, path := range badQueries {
 		if resp := getJSON(t, ts.URL+path, nil); resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400", path, resp.StatusCode)
 		}

@@ -46,22 +46,22 @@ type epochCtl struct {
 }
 
 // shardRequest is one proxied query: which shard, which endpoint, and
-// the raw query string to replay against it. Epoch is the ring epoch
-// the router routed under — the node uses it to tell a routing bug
-// (epochs agree, ownership doesn't) from a query legitimately in
-// flight across a membership cutover.
+// the client's raw query string. Epoch is the ring epoch the router
+// routed under — the node uses it to tell a routing bug (epochs agree,
+// ownership doesn't) from a query legitimately in flight across a
+// membership cutover.
 type shardRequest struct {
 	Key      ShardKey
-	Path     string // "/info", "/point", "/range", "/coefficients"
+	Path     string // a queryEndpoints path
 	RawQuery string
 	Epoch    int64
 }
 
-// shardReply is the node's answer. Status and Body mirror the HTTP
-// response of the per-shard handler; Node and Role identify who
-// actually answered (surfaced as X-Dwserve-* headers by the router);
-// DegradedB is non-zero when overload forced a coarser synopsis; Epoch
-// is the ring epoch the node answered under.
+// shardReply is the node's answer. Status and Body are what a
+// standalone server would write for the same request; Node and Role
+// identify who actually answered (surfaced as X-Dwserve-* headers by
+// the router); DegradedB is non-zero when overload forced a coarser
+// synopsis; Epoch is the ring epoch the node answered under.
 type shardReply struct {
 	Status    int
 	DegradedB int
